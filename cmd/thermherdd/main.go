@@ -11,7 +11,7 @@
 //	           [-tenant-rate 0] [-tenant-burst 0] [-tenant-weights SPEC]
 //	           [-faults SPEC] [-fault-seed 1]
 //	           [-journal-dir DIR] [-fsync always|interval|off] [-no-recover]
-//	           [-node NAME] [-repl none|async|sync] [-repl-peer NAME=URL]
+//	           [-node NAME] [-repl none|sync] [-repl-peer NAME=URL]
 //
 // SIGINT/SIGTERM begin a graceful drain: new submissions are rejected
 // with 503, running jobs get the -drain deadline to finish, and the
@@ -49,9 +49,8 @@
 // -repl-peer node (name=url), which buffers them in its replica store
 // and can adopt this node's jobs if it dies. Under -repl sync a submit
 // is acked only after the peer's append — an acked job then survives
-// this node's death; async streams in the background and bounds, not
-// eliminates, the loss window. Requires -node so adopted job ids can
-// be suffixed with their origin.
+// this node's death. Requires -node so adopted job ids can be suffixed
+// with their origin.
 package main
 
 import (
@@ -101,7 +100,7 @@ func main() {
 		noRecover  = flag.Bool("no-recover", false, "discard persisted journal state instead of replaying it")
 
 		nodeName = flag.String("node", "", "this node's herd name (required with -repl)")
-		repl     = flag.String("repl", "", "replication ack policy: none, async, or sync (empty = none)")
+		repl     = flag.String("repl", "", "replication ack policy: none or sync (empty = none)")
 		replPeer = flag.String("repl-peer", "", "successor peer as name=url; journal events stream there")
 	)
 	flag.Parse()

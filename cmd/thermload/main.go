@@ -55,7 +55,7 @@
 //	          -faults 'selfhost.backend.join=error:join,count:1,delay:2s' \
 //	          -mode constant -rps 40 -duration 5s -seed 42
 //
-// Failover runs: -repl none|async|sync (with -selfhost -nodes >= 2)
+// Failover runs: -repl none|sync (with -selfhost -nodes >= 2)
 // chains each backend's journal to its ring successor, arms the
 // gateway's takeover machinery, and appends a post-run reconciliation
 // that re-polls every acked job id to a terminal state — the
@@ -246,7 +246,7 @@ func parseFlags(args []string) (options, error) {
 	fs.DurationVar(&o.brownout, "brownout", 0, "self-hosted daemon: brownout queue-wait threshold (0 = off)")
 	fs.BoolVar(&o.chaos, "chaos", false, "after the run, verify the daemon survived, all jobs settled, and /metrics accounting reconciles")
 	fs.BoolVar(&o.hedge, "hedge", false, "self-hosted herd: enable gateway request hedging (requires -selfhost -nodes >= 2)")
-	fs.StringVar(&o.repl, "repl", "", "self-hosted herd: replication ack policy (none, async, or sync) — chains each backend's journal to its ring successor, arms gateway takeover, and reconciles acked-job loss after the run (requires -selfhost -nodes >= 2)")
+	fs.StringVar(&o.repl, "repl", "", "self-hosted herd: replication ack policy (none or sync) — chains each backend's journal to its ring successor, arms gateway takeover, and reconciles acked-job loss after the run (requires -selfhost -nodes >= 2)")
 
 	fs.StringVar(&o.out, "out", "BENCH_loadgen.json", "report output path")
 	fs.StringVar(&o.scheduleOut, "schedule-out", "", "also dump the arrival schedule (ns offsets, one per line) to this path")

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync/atomic"
 
+	"thermalherd/internal/httpjson"
 	"thermalherd/internal/server"
 )
 
@@ -53,18 +54,18 @@ type adminTopologyDoc struct {
 func (g *Gateway) requireAdmin(next http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if g.cfg.AdminToken == "" {
-			writeError(w, http.StatusForbidden, "admin API disabled (gateway started without an admin token)")
+			httpjson.Error(w, http.StatusForbidden, "admin API disabled (gateway started without an admin token)")
 			return
 		}
 		const prefix = "Bearer "
 		auth := r.Header.Get("Authorization")
 		if !strings.HasPrefix(auth, prefix) ||
 			subtle.ConstantTimeCompare([]byte(strings.TrimPrefix(auth, prefix)), []byte(g.cfg.AdminToken)) != 1 {
-			writeError(w, http.StatusUnauthorized, "admin API requires a valid bearer token")
+			httpjson.Error(w, http.StatusUnauthorized, "admin API requires a valid bearer token")
 			return
 		}
 		if err := g.cfg.Faults.Fire(FaultAdmin); err != nil {
-			writeError(w, http.StatusInternalServerError, "admin chaos: %v", err)
+			httpjson.Error(w, http.StatusInternalServerError, "admin chaos: %v", err)
 			return
 		}
 		next(w, r)
@@ -91,18 +92,18 @@ func (g *Gateway) handleAdminAddNode(w http.ResponseWriter, r *http.Request) {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad node payload: %v", err)
+		httpjson.Error(w, http.StatusBadRequest, "bad node payload: %v", err)
 		return
 	}
 	b := Backend{Name: req.Name, URL: strings.TrimRight(req.URL, "/")}
 	if err := validateBackend(b); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		httpjson.Error(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	g.topo.Lock()
 	if _, dup := g.byName[b.Name]; dup {
 		g.topo.Unlock()
-		writeError(w, http.StatusConflict, "backend %q already exists", b.Name)
+		httpjson.Error(w, http.StatusConflict, "backend %q already exists", b.Name)
 		return
 	}
 	// A re-added name sheds its tombstone: the node is live again.
@@ -117,7 +118,7 @@ func (g *Gateway) handleAdminAddNode(w http.ResponseWriter, r *http.Request) {
 	g.members.addMember(b, NodeJoining)
 	g.metrics.nodesAdded.Add(1)
 	g.members.suspect(b.Name) // async: probe the joiner to healthy now
-	writeJSON(w, http.StatusCreated, map[string]any{
+	httpjson.Write(w, http.StatusCreated, map[string]any{
 		"epoch": epoch,
 		"node":  adminNodeDoc{NodeHealth: NodeHealth{Name: b.Name, URL: b.URL, State: NodeJoining}},
 	})
@@ -131,7 +132,7 @@ func (g *Gateway) handleAdminListNodes(w http.ResponseWriter, r *http.Request) {
 	for _, h := range snap {
 		doc.Nodes = append(doc.Nodes, adminNodeDoc{NodeHealth: h, Inflight: g.inflightOf(h.Name).Load()})
 	}
-	writeJSON(w, http.StatusOK, doc)
+	httpjson.Write(w, http.StatusOK, doc)
 }
 
 // handleAdminDrainNode pins a backend into NodeDraining: new submits
@@ -145,11 +146,11 @@ func (g *Gateway) handleAdminListNodes(w http.ResponseWriter, r *http.Request) {
 func (g *Gateway) handleAdminDrainNode(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	if _, ok := g.activeBackend(name); !ok {
-		writeError(w, http.StatusNotFound, "no backend named %q", name)
+		httpjson.Error(w, http.StatusNotFound, "no backend named %q", name)
 		return
 	}
 	if !g.members.pinDrain(name) {
-		writeError(w, http.StatusNotFound, "no backend named %q", name)
+		httpjson.Error(w, http.StatusNotFound, "no backend named %q", name)
 		return
 	}
 	g.metrics.nodesDrained.Add(1)
@@ -170,7 +171,7 @@ func (g *Gateway) handleAdminDrainNode(w http.ResponseWriter, r *http.Request) {
 			doc["migrated_to"] = succ
 		}
 	}
-	writeJSON(w, http.StatusAccepted, doc)
+	httpjson.Write(w, http.StatusAccepted, doc)
 }
 
 // handleAdminRemoveNode removes a backend from the ring. Unless
@@ -185,24 +186,24 @@ func (g *Gateway) handleAdminDrainNode(w http.ResponseWriter, r *http.Request) {
 func (g *Gateway) handleAdminRemoveNode(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	if _, ok := g.activeBackend(name); !ok {
-		writeError(w, http.StatusNotFound, "no backend named %q", name)
+		httpjson.Error(w, http.StatusNotFound, "no backend named %q", name)
 		return
 	}
 	force := r.URL.Query().Get("force") == "1"
 	if n := g.inflightOf(name).Load(); n > 0 && !force {
-		writeError(w, http.StatusConflict,
+		httpjson.Error(w, http.StatusConflict,
 			"backend %q has %d submits in flight (drain and wait, or force=1)", name, n)
 		return
 	}
 	if !force {
 		queued, running, err := g.backendLoad(r.Context(), name)
 		if err != nil {
-			writeError(w, http.StatusConflict,
+			httpjson.Error(w, http.StatusConflict,
 				"backend %q load unknown (%v); drain and wait, or force=1", name, err)
 			return
 		}
 		if queued+running > 0 {
-			writeError(w, http.StatusConflict,
+			httpjson.Error(w, http.StatusConflict,
 				"backend %q still holds %d queued + %d running jobs (drain and wait, or force=1)",
 				name, queued, running)
 			return
@@ -234,14 +235,14 @@ func (g *Gateway) handleAdminRemoveNode(w http.ResponseWriter, r *http.Request) 
 	if adoptedBy != "" {
 		doc["adopted_by"] = adoptedBy
 	}
-	writeJSON(w, http.StatusOK, doc)
+	httpjson.Write(w, http.StatusOK, doc)
 }
 
 // backendLoad counts one backend's unsettled jobs via its own list
 // endpoint (Total on a limit=1 page is the full match count).
 func (g *Gateway) backendLoad(ctx context.Context, name string) (queued, running int, err error) {
 	count := func(status string) (int, error) {
-		fr, ferr := g.forward(ctx, name, http.MethodGet, "/v1/jobs?limit=1&status="+status, nil, nil)
+		fr, ferr := g.send(ctx, nil, name, call{method: http.MethodGet, path: "/v1/jobs?limit=1&status=" + status})
 		if ferr != nil {
 			return 0, ferr
 		}

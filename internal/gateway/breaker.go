@@ -26,10 +26,10 @@ const (
 // outcomes the membership state machine sees — forward transport
 // errors, retryable 5xx submit replies, and probe results — so a
 // backend that keeps eating requests is short-circuited out of the
-// submit path even between probe ticks. Reads are NOT gated: a
-// namespaced job id has exactly one home, and converting its slow
-// failure into a fast one would also fail the drain-reconciliation
-// reads a departing node still answers.
+// submit path even between probe ticks. Reads are NOT gated, only
+// their hedge legs: a namespaced job id has exactly one home, and
+// converting its slow failure into a fast one would also fail the
+// drain-reconciliation reads a departing node still answers.
 type breaker struct {
 	clk       clock.Clock
 	faults    *faultinject.Registry

@@ -2,10 +2,8 @@ package gateway
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -13,6 +11,7 @@ import (
 
 	"thermalherd/internal/clock"
 	"thermalherd/internal/faultinject"
+	"thermalherd/internal/httpjson"
 	"thermalherd/internal/server"
 )
 
@@ -82,9 +81,6 @@ type Config struct {
 	// (GET /v1/jobs, /metrics); 0 means 2s. A leg that misses it is
 	// accounted as a partial result, never a stalled response.
 	ScatterTimeout time.Duration
-	// ForwardAttempts bounds how many backends one submit may try
-	// (first choice plus failovers); 0 means 2.
-	ForwardAttempts int
 	// Faults is the chaos-testing fault-injection registry; nil (the
 	// production default) costs one atomic load per fault point.
 	Faults *faultinject.Registry
@@ -113,12 +109,6 @@ type Config struct {
 	// AdminToken authorizes the /v1/admin/nodes API (Bearer token);
 	// empty leaves the admin API disabled.
 	AdminToken string
-	// FlapWindow / FlapFlips / FlapCooldown tune membership flap
-	// damping: FlapFlips routability changes within FlapWindow hold a
-	// node suspect for FlapCooldown. Zero values mean 10s / 3 / 5s.
-	FlapWindow   time.Duration
-	FlapFlips    int
-	FlapCooldown time.Duration
 	// TakeoverAfter arms failover: a backend that has sat in NodeDown
 	// this long is taken over — its ring successor is told to adopt the
 	// replica journal it streamed, an alias routes the dead node's job
@@ -184,9 +174,6 @@ func New(cfg Config) (*Gateway, error) {
 	if len(cfg.Backends) == 0 {
 		return nil, fmt.Errorf("gateway: no backends configured")
 	}
-	if cfg.ForwardAttempts <= 0 {
-		cfg.ForwardAttempts = 2
-	}
 	if cfg.ScatterTimeout <= 0 {
 		cfg.ScatterTimeout = 2 * time.Second
 	}
@@ -227,15 +214,6 @@ func New(cfg Config) (*Gateway, error) {
 	g.epoch.Store(1)
 	g.members = newMembership(cfg.Backends, cfg.Clock, cfg.Faults,
 		cfg.ProbeInterval, cfg.ProbeTimeout, cfg.FailThreshold)
-	if cfg.FlapWindow > 0 {
-		g.members.flapWindow = cfg.FlapWindow
-	}
-	if cfg.FlapFlips > 0 {
-		g.members.flapFlips = cfg.FlapFlips
-	}
-	if cfg.FlapCooldown > 0 {
-		g.members.flapCooldown = cfg.FlapCooldown
-	}
 	g.members.probes = func() { g.metrics.probes.Add(1) }
 	g.members.probeFailures = func() { g.metrics.probeFailures.Add(1) }
 	g.members.onProbe = func(name string, ok bool) {
@@ -350,53 +328,34 @@ func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 // routes installs the HTTP endpoints, mirroring the backend API.
 func (g *Gateway) routes() {
-	g.route("/v1/jobs", map[string]http.HandlerFunc{
+	httpjson.Route(g.mux, "/v1/jobs", map[string]http.HandlerFunc{
 		http.MethodPost: g.handleSubmit,
 		http.MethodGet:  g.handleList,
 	})
-	g.route("/v1/jobs:batch", map[string]http.HandlerFunc{
+	httpjson.Route(g.mux, "/v1/jobs:batch", map[string]http.HandlerFunc{
 		http.MethodPost: g.handleSubmitBatch,
 	})
-	g.route("/v1/jobs/{id}", map[string]http.HandlerFunc{
+	httpjson.Route(g.mux, "/v1/jobs/{id}", map[string]http.HandlerFunc{
 		http.MethodGet:    g.handleStatus,
 		http.MethodDelete: g.handleCancel,
 	})
-	g.route("/v1/jobs/{id}/result", map[string]http.HandlerFunc{
+	httpjson.Route(g.mux, "/v1/jobs/{id}/result", map[string]http.HandlerFunc{
 		http.MethodGet: g.handleResult,
 	})
-	g.route("/v1/workloads", map[string]http.HandlerFunc{http.MethodGet: g.handlePassthrough("/v1/workloads")})
-	g.route("/v1/configs", map[string]http.HandlerFunc{http.MethodGet: g.handlePassthrough("/v1/configs")})
-	g.route("/healthz", map[string]http.HandlerFunc{http.MethodGet: g.handleHealthz})
-	g.route("/readyz", map[string]http.HandlerFunc{http.MethodGet: g.handleReadyz})
-	g.route("/metrics", map[string]http.HandlerFunc{http.MethodGet: g.handleMetrics})
-	g.route("/v1/admin/nodes", map[string]http.HandlerFunc{
+	httpjson.Route(g.mux, "/v1/workloads", map[string]http.HandlerFunc{http.MethodGet: g.handlePassthrough("/v1/workloads")})
+	httpjson.Route(g.mux, "/v1/configs", map[string]http.HandlerFunc{http.MethodGet: g.handlePassthrough("/v1/configs")})
+	httpjson.Route(g.mux, "/healthz", map[string]http.HandlerFunc{http.MethodGet: g.handleHealthz})
+	httpjson.Route(g.mux, "/readyz", map[string]http.HandlerFunc{http.MethodGet: g.handleReadyz})
+	httpjson.Route(g.mux, "/metrics", map[string]http.HandlerFunc{http.MethodGet: g.handleMetrics})
+	httpjson.Route(g.mux, "/v1/admin/nodes", map[string]http.HandlerFunc{
 		http.MethodPost: g.requireAdmin(g.handleAdminAddNode),
 		http.MethodGet:  g.requireAdmin(g.handleAdminListNodes),
 	})
-	g.route("/v1/admin/nodes/{name}", map[string]http.HandlerFunc{
+	httpjson.Route(g.mux, "/v1/admin/nodes/{name}", map[string]http.HandlerFunc{
 		http.MethodDelete: g.requireAdmin(g.handleAdminRemoveNode),
 	})
-	g.route("/v1/admin/nodes/{name}/drain", map[string]http.HandlerFunc{
+	httpjson.Route(g.mux, "/v1/admin/nodes/{name}/drain", map[string]http.HandlerFunc{
 		http.MethodPost: g.requireAdmin(g.handleAdminDrainNode),
-	})
-}
-
-// route mirrors the backend's method-dispatch idiom: per-method
-// handlers plus a catch-all JSON 405 with an Allow header.
-func (g *Gateway) route(path string, handlers map[string]http.HandlerFunc) {
-	methods := make([]string, 0, len(handlers)+1)
-	for m, h := range handlers {
-		g.mux.HandleFunc(m+" "+path, h)
-		methods = append(methods, m)
-		if m == http.MethodGet {
-			methods = append(methods, http.MethodHead)
-		}
-	}
-	sort.Strings(methods)
-	allow := strings.Join(methods, ", ")
-	g.mux.HandleFunc(path, func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Allow", allow)
-		writeError(w, http.StatusMethodNotAllowed, "method %s not allowed on %s (allow: %s)", r.Method, path, allow)
 	})
 }
 
@@ -543,23 +502,6 @@ func (w *warmSet) has(hash string) bool {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.cur[hash] || w.prev[hash]
-}
-
-// errorDoc mirrors the backend's uniform error body.
-type errorDoc struct {
-	Error string `json:"error"`
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
-}
-
-func writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, errorDoc{Error: fmt.Sprintf(format, args...)})
 }
 
 // specHashOf decodes and content-addresses one submission body.

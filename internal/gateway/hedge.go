@@ -156,6 +156,14 @@ func (b *retryBudget) take() bool {
 	return true
 }
 
+// refund returns a token taken for an attempt that was then never
+// sent.
+func (b *retryBudget) refund() {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.tokens = min(b.tokens+1, b.burst)
+}
+
 // sendGate serializes a racing submit attempt's "about to hit the
 // wire" moment against its abort. The straggler chaos fault (and any
 // FaultForward delay) fires gateway-side before the request is sent,

@@ -94,6 +94,14 @@ type memberInfo struct {
 	suspectUntil time.Time
 }
 
+// Flap damping: flapFlips routability transitions within flapWindow
+// hold the node suspect for flapCooldown.
+const (
+	flapWindow   = 10 * time.Second
+	flapFlips    = 3
+	flapCooldown = 5 * time.Second
+)
+
 // membership polls each backend's /readyz on a fixed interval and
 // classifies it through the state machine above. Probes run through
 // the clock seam and the fault-injection registry, so the chaos suite
@@ -106,12 +114,6 @@ type membership struct {
 	interval  time.Duration
 	timeout   time.Duration
 	threshold int
-
-	// Flap damping: flapFlips routability transitions within flapWindow
-	// hold the node suspect for flapCooldown.
-	flapWindow   time.Duration
-	flapFlips    int
-	flapCooldown time.Duration
 
 	mu   sync.Mutex
 	info map[string]*memberInfo
@@ -150,9 +152,6 @@ func newMembership(backends []Backend, clk clock.Clock, faults *faultinject.Regi
 		interval:      interval,
 		timeout:       timeout,
 		threshold:     threshold,
-		flapWindow:    10 * time.Second,
-		flapFlips:     3,
-		flapCooldown:  5 * time.Second,
 		info:          make(map[string]*memberInfo, len(backends)),
 		stop:          make(chan struct{}),
 		done:          make(chan struct{}),
@@ -374,13 +373,13 @@ func (m *membership) transition(mi *memberInfo, to NodeState) {
 	if to.routable() != from.routable() && from != NodeJoining {
 		kept := mi.flips[:0]
 		for _, ts := range mi.flips {
-			if now.Sub(ts) <= m.flapWindow {
+			if now.Sub(ts) <= flapWindow {
 				kept = append(kept, ts)
 			}
 		}
 		mi.flips = append(kept, now)
-		if len(mi.flips) >= m.flapFlips {
-			mi.suspectUntil = now.Add(m.flapCooldown)
+		if len(mi.flips) >= flapFlips {
+			mi.suspectUntil = now.Add(flapCooldown)
 			mi.flips = nil
 			if to.routable() {
 				to = NodeSuspect

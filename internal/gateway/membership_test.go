@@ -10,6 +10,7 @@ import (
 
 	"thermalherd/internal/clock"
 	"thermalherd/internal/faultinject"
+	"thermalherd/internal/httpjson"
 )
 
 // fakeBackend is a scriptable /readyz (and submit) endpoint for
@@ -35,14 +36,14 @@ func newFakeBackend(t *testing.T) *fakeBackend {
 		if !doc.Ready {
 			code = http.StatusServiceUnavailable
 		}
-		writeJSON(w, code, doc)
+		httpjson.Write(w, code, doc)
 	})
 	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
 		f.mu.Lock()
 		f.submits++
 		n := f.submits
 		f.mu.Unlock()
-		writeJSON(w, http.StatusAccepted, map[string]any{"id": "job-" + itoa6(n), "state": "queued"})
+		httpjson.Write(w, http.StatusAccepted, map[string]any{"id": "job-" + itoa6(n), "state": "queued"})
 	})
 	f.ts = httptest.NewServer(mux)
 	t.Cleanup(f.ts.Close)

@@ -14,20 +14,30 @@ import (
 	"sync"
 	"time"
 
+	"thermalherd/internal/httpjson"
 	"thermalherd/internal/server"
 )
 
+// Every request the gateway sends a backend goes through one pipeline:
+// send is the per-node step (faults, send gate, HTTP exchange, hedge
+// estimate, breaker, membership), race hedges a send with a second
+// leg, and relay writes the reply back under the gateway's job id.
+
 const (
-	// raceAttemptTimeout bounds each leg of a hedged submit race. The
-	// attempts are detached from the client's context (a loser must be
-	// observable after the winner is relayed), so they need their own
-	// deadline.
-	raceAttemptTimeout = 30 * time.Second
+	// forwardAttempts bounds how many backends one submit may try:
+	// the first choice plus one failover.
+	forwardAttempts = 2
+	// attemptTimeout bounds each leg of a race. Submit legs are
+	// detached from the client's context (a loser must be observable
+	// after the winner is relayed), so they need their own deadline.
+	attemptTimeout = 30 * time.Second
 	// reapTimeout bounds the loser-cancel DELETE.
 	reapTimeout = 5 * time.Second
 	// retryAfterCap bounds how long the submit failover path will
 	// honor a backend's Retry-After hint.
 	retryAfterCap = 2 * time.Second
+	// maxReply caps how much of a backend reply the gateway buffers.
+	maxReply = 16 << 20
 )
 
 // errAborted marks a racing attempt stopped by its sendGate before it
@@ -42,66 +52,18 @@ type forwardResult struct {
 	body   []byte
 }
 
-// forward proxies one request to a named backend. The FaultForward
-// point fires first: an error action simulates the backend being
-// unreachable without touching the wire.
-func (g *Gateway) forward(ctx context.Context, node, method, path string, body []byte, header http.Header) (forwardResult, error) {
-	return g.forwardGated(ctx, nil, node, method, path, body, header)
-}
-
-// forwardGated is forward with an optional sendGate for hedge races:
-// the gateway-side fault delays (FaultForward, FaultStraggler) fire
-// before the gate check, so a racing attempt that loses while still
-// stuck in an injected delay is stopped before it ever reaches the
-// backend — the deterministic pre-send window the loser-cancellation
-// design leans on.
-func (g *Gateway) forwardGated(ctx context.Context, gate *sendGate, node, method, path string, body []byte, header http.Header) (forwardResult, error) {
-	b, ok := g.lookupBackend(node)
-	if !ok {
-		return forwardResult{}, fmt.Errorf("unknown backend %q", node)
-	}
-	if err := g.cfg.Faults.Fire(FaultForward); err != nil {
-		g.metrics.backendErrors.Add(1)
-		return forwardResult{}, fmt.Errorf("forward to %s: %w", node, err)
-	}
-	if method != http.MethodDelete && node == g.stragglerTarget() {
-		// The straggler fault targets the lexically-last ring node and
-		// skips DELETEs, so the loser-cancel reaper is never slowed by
-		// the very straggler it is cleaning up after.
-		if err := g.cfg.Faults.Fire(FaultStraggler); err != nil {
-			g.metrics.backendErrors.Add(1)
-			return forwardResult{}, fmt.Errorf("forward to %s: %w", node, err)
-		}
-	}
-	if gate != nil && !gate.tryBegin() {
-		return forwardResult{}, errAborted
-	}
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
-	}
-	req, err := http.NewRequestWithContext(ctx, method, b.URL+path, rd)
-	if err != nil {
-		return forwardResult{}, err
-	}
-	for k, vs := range header {
-		for _, v := range vs {
-			req.Header.Add(k, v)
-		}
-	}
-	g.metrics.proxied.Add(1)
-	resp, err := g.hc.Do(req)
-	if err != nil {
-		g.metrics.backendErrors.Add(1)
-		return forwardResult{}, fmt.Errorf("forward to %s: %w", node, err)
-	}
-	defer resp.Body.Close()
-	buf, err := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
-	if err != nil {
-		g.metrics.backendErrors.Add(1)
-		return forwardResult{}, fmt.Errorf("read from %s: %w", node, err)
-	}
-	return forwardResult{status: resp.StatusCode, header: resp.Header, body: buf}, nil
+// call is one request to send to a backend.
+type call struct {
+	method, path string
+	body         []byte
+	header       http.Header
+	// class is the hedge-estimator route class the reply latency
+	// feeds; empty observes nothing.
+	class string
+	// submits is how many job submissions the request carries; they
+	// count as in flight on the node while it runs (the spill choice
+	// and the admin remove check read that count).
+	submits int64
 }
 
 // retryable reports whether a submit that got this backend status is
@@ -116,256 +78,258 @@ func retryable(status int) bool {
 		status == http.StatusGatewayTimeout
 }
 
-// timedForward forwards one request and, on success, feeds the
-// attempt's latency into the hedge-delay estimator for its route
-// class.
-func (g *Gateway) timedForward(ctx context.Context, gate *sendGate, class, node, method, path string, body []byte, header http.Header) (forwardResult, error) {
+// send is the per-node send step every request takes. In order: the
+// gateway-side fault points (gw.forward, then gw.straggler on a
+// non-DELETE to the straggler target), the pre-send gate (a race loser
+// still held gateway-side stops here, unseen by any backend), the HTTP
+// exchange, the hedge-estimator observation for c.class, the breaker
+// feedback, and the membership suspect on a transport error or a
+// retryable 5xx. A transport error or retryable 5xx is a breaker
+// failure (the backend ate the request); any other reply, a 4xx
+// included, proves the backend alive. An attempt whose own context
+// ended — a cancelled race loser, a client hang-up, a scatter deadline
+// — says nothing about the backend and feeds neither. gate may be nil.
+func (g *Gateway) send(ctx context.Context, gate *sendGate, node string, c call) (forwardResult, error) {
+	b, ok := g.lookupBackend(node)
+	if !ok {
+		return forwardResult{}, fmt.Errorf("unknown backend %q", node)
+	}
+	cnt := g.inflightOf(node)
+	cnt.Add(c.submits)
+	defer cnt.Add(-c.submits)
 	start := g.cfg.Clock.Now()
-	fr, err := g.forwardGated(ctx, gate, node, method, path, body, header)
+	err := g.cfg.Faults.Fire(FaultForward)
+	if err == nil && c.method != http.MethodDelete && node == g.stragglerTarget() {
+		// The straggler skips DELETEs, so the loser reaper is never
+		// slowed by the very straggler it is cleaning up after.
+		err = g.cfg.Faults.Fire(FaultStraggler)
+	}
+	var fr forwardResult
 	if err == nil {
-		g.hedger.observe(class, g.cfg.Clock.Since(start))
+		if gate != nil && !gate.tryBegin() {
+			return forwardResult{}, errAborted
+		}
+		g.metrics.proxied.Add(1)
+		fr, err = g.exchange(ctx, b.URL, c)
+	}
+	if err != nil {
+		g.metrics.backendErrors.Add(1)
+		err = fmt.Errorf("forward to %s: %w", node, err)
+	} else if c.class != "" {
+		g.hedger.observe(c.class, g.cfg.Clock.Since(start))
+	}
+	switch {
+	case ctx.Err() != nil:
+	case err != nil || retryable(fr.status):
+		g.breaker.failure(node)
+		g.members.suspect(node)
+	default:
+		g.breaker.success(node)
 	}
 	return fr, err
 }
 
-// feedBreakerOutcome folds one forward outcome into the node's
-// circuit breaker: a transport error or a retryable 5xx is a failure
-// (the backend ate the request); any other reply — including a 4xx —
-// proves the backend alive.
-func (g *Gateway) feedBreakerOutcome(node string, status int, err error) {
-	if err != nil || retryable(status) {
-		g.breaker.failure(node)
-		return
+// exchange is the send step's transport part: one HTTP request to a
+// backend base URL, the reply buffered up to maxReply. The takeover
+// calls use it directly; they address a backend outside the request
+// pipeline's accounting.
+func (g *Gateway) exchange(ctx context.Context, base string, c call) (forwardResult, error) {
+	var rd io.Reader
+	if c.body != nil {
+		rd = bytes.NewReader(c.body)
 	}
-	g.breaker.success(node)
-}
-
-// raceRead hedges one idempotent GET against the same backend: after
-// the class's hedge delay a duplicate request launches, the first
-// reply wins, and the loser is ctx-cancelled mid-flight (a GET has
-// nothing to reap). Hedging reads to the job's own node — not a ring
-// successor — is deliberate: a namespaced <id>@<node> exists on
-// exactly one backend, so a successor could only ever answer 404.
-func (g *Gateway) raceRead(ctx context.Context, class, node, path string) (forwardResult, error) {
-	single := func() (forwardResult, error) {
-		return g.timedForward(ctx, nil, class, node, http.MethodGet, path, nil, nil)
+	req, err := http.NewRequestWithContext(ctx, c.method, base+c.path, rd)
+	if err != nil {
+		return forwardResult{}, err
 	}
-	if !g.cfg.Hedge {
-		return single()
-	}
-	delay, ok := g.hedger.delay(class)
-	if !ok {
-		return single()
-	}
-	type res struct {
-		fr  forwardResult
-		err error
-	}
-	pctx, pcancel := context.WithCancel(ctx)
-	defer pcancel()
-	pch := make(chan res, 1)
-	//thermlint:goroutine -- exits when the pctx-bound forward returns; pcancel is deferred and the channel is buffered
-	go func() {
-		fr, err := g.timedForward(pctx, nil, class, node, http.MethodGet, path, nil, nil)
-		pch <- res{fr, err}
-	}()
-	//thermlint:blocking -- the primary attempt is ctx-bound and the timer always fires; one arm resolves
-	select {
-	case r := <-pch:
-		return r.fr, r.err
-	case <-g.cfg.Clock.After(delay):
-	}
-	if err := g.cfg.Faults.Fire(FaultHedge); err != nil {
-		//thermlint:blocking -- the primary attempt is ctx-bound; this receive resolves when it does
-		r := <-pch
-		return r.fr, r.err
-	}
-	if !g.budget.take() {
-		g.metrics.budgetExhausted.Add(1)
-		//thermlint:blocking -- the primary attempt is ctx-bound; this receive resolves when it does
-		r := <-pch
-		return r.fr, r.err
-	}
-	g.metrics.hedgesFired.Add(1)
-	hctx, hcancel := context.WithCancel(ctx)
-	defer hcancel()
-	hch := make(chan res, 1)
-	//thermlint:goroutine -- exits when the hctx-bound forward returns; hcancel is deferred and the channel is buffered
-	go func() {
-		fr, err := g.timedForward(hctx, nil, class, node, http.MethodGet, path, nil, nil)
-		hch <- res{fr, err}
-	}()
-	var first res
-	var fromHedge bool
-	//thermlint:blocking -- both attempts are ctx-bound; one arm resolves
-	select {
-	case first = <-pch:
-	case first = <-hch:
-		fromHedge = true
-	}
-	if first.err == nil {
-		if fromHedge {
-			g.metrics.hedgesWon.Add(1)
-		} else {
-			g.metrics.hedgesWasted.Add(1)
+	for k, vs := range c.header {
+		for _, v := range vs {
+			req.Header.Add(k, v)
 		}
-		return first.fr, nil
 	}
-	// The first finisher failed; the race is decided by the other leg.
-	var second res
-	if fromHedge {
-		//thermlint:blocking -- the primary attempt is ctx-bound; this receive resolves when it does
-		second = <-pch
-		if second.err == nil {
-			g.metrics.hedgesWasted.Add(1)
-			return second.fr, nil
-		}
-		return second.fr, second.err // the primary's outcome
+	resp, err := g.hc.Do(req)
+	if err != nil {
+		return forwardResult{}, err
 	}
-	//thermlint:blocking -- the hedge attempt is ctx-bound; this receive resolves when it does
-	second = <-hch
-	if second.err == nil {
-		g.metrics.hedgesWon.Add(1)
-		return second.fr, nil
+	defer resp.Body.Close()
+	body, err := io.ReadAll(io.LimitReader(resp.Body, maxReply))
+	if err != nil {
+		return forwardResult{}, err
 	}
-	return first.fr, first.err // the primary's outcome
+	return forwardResult{status: resp.StatusCode, header: resp.Header, body: body}, nil
 }
 
-// submitRes is one leg's outcome in a hedged submit race.
-type submitRes struct {
-	fr  forwardResult
-	err error
-}
-
-// raceSubmit races an Idempotency-Key-bearing submit between its home
-// node and the ring successor: the hedge launches after the submit
-// class's p95 delay, the first acceptable reply wins, and the loser is
-// either stopped pre-send (its sendGate aborts it while it is still
-// stuck in the gateway-side straggler delay) or reaped — awaited to
-// completion on a detached context and its admitted job DELETEd, so a
-// hedged submit never leaves two live copies of the job behind.
-// Returns the winning reply and the node that produced it.
-func (g *Gateway) raceSubmit(ctx context.Context, primary, hedgeNode string, body []byte, hdr http.Header) (forwardResult, string, error) {
-	// Attempts detach from the client's context: once a submit may
-	// have been admitted somewhere, the gateway must observe the
-	// outcome even if the client hangs up — otherwise it could neither
-	// relay nor reap the job.
-	base := context.WithoutCancel(ctx)
-	launch := func(node string) (*sendGate, chan submitRes) {
-		gate := &sendGate{}
-		actx, cancel := context.WithTimeout(base, raceAttemptTimeout)
-		ch := make(chan submitRes, 1)
-		cnt := g.inflightOf(node)
-		cnt.Add(1)
-		//thermlint:goroutine -- exits when the raceAttemptTimeout-bound forward returns; the result channel is buffered
-		go func() {
-			defer cancel()
-			defer cnt.Add(-1)
-			fr, err := g.timedForward(actx, gate, hedgeClassSubmit, node, http.MethodPost, "/v1/jobs", body, hdr)
-			ch <- submitRes{fr, err}
-		}()
-		return gate, ch
-	}
-	pgate, pch := launch(primary)
-	settlePrimary := func() (forwardResult, string, error) {
-		//thermlint:blocking -- the attempt is deadline-bound by raceAttemptTimeout
-		r := <-pch
-		g.feedBreakerOutcome(primary, r.fr.status, r.err)
-		return r.fr, primary, r.err
-	}
-	delay, ok := g.hedger.delay(hedgeClassSubmit)
-	if !ok {
-		return settlePrimary()
-	}
-	//thermlint:blocking -- the attempt is deadline-bound by raceAttemptTimeout and the timer always fires
-	select {
-	case r := <-pch:
-		g.feedBreakerOutcome(primary, r.fr.status, r.err)
-		return r.fr, primary, r.err
-	case <-g.cfg.Clock.After(delay):
-	}
-	if err := g.cfg.Faults.Fire(FaultHedge); err != nil {
-		return settlePrimary()
-	}
-	if !g.budget.take() {
-		g.metrics.budgetExhausted.Add(1)
-		return settlePrimary()
-	}
-	if !g.breaker.allow(hedgeNode) {
+// admit decides whether an attempt may go to node. A request's first
+// attempt is funded by the request itself; an extra one (a failover
+// retry or a hedge) also takes a retry-budget token. The checks run so
+// that a candidate that is never sent costs nothing: a node whose
+// breaker refuses is skipped before a token is taken, allow (which
+// consumes the half-open trial slot) runs last, and the token goes back
+// if allow refuses anyway (a forced gw.breaker denial, or a trial slot
+// taken concurrently).
+func (g *Gateway) admit(node string, extra bool) error {
+	if !g.breaker.available(node) {
 		g.metrics.breakerDenied.Add(1)
-		return settlePrimary()
+		return fmt.Errorf("backend %s: circuit open", node)
+	}
+	if extra && !g.budget.take() {
+		g.metrics.budgetExhausted.Add(1)
+		return errors.New("retry budget exhausted")
+	}
+	if !g.breaker.allow(node) {
+		if extra {
+			g.budget.refund()
+		}
+		g.metrics.breakerDenied.Add(1)
+		return fmt.Errorf("backend %s: circuit open", node)
+	}
+	return nil
+}
+
+// leg is one attempt of a race, sent on its own goroutine.
+type leg struct {
+	node   string
+	gate   sendGate
+	cancel context.CancelFunc
+	done   chan struct{} // closed once fr and err are set
+	fr     forwardResult
+	err    error
+}
+
+func (g *Gateway) launch(ctx context.Context, node string, c call) *leg {
+	lctx, cancel := context.WithTimeout(ctx, attemptTimeout)
+	l := &leg{node: node, cancel: cancel, done: make(chan struct{})}
+	//thermlint:goroutine -- the send is bounded by attemptTimeout
+	go func() {
+		defer cancel()
+		l.fr, l.err = g.send(lctx, &l.gate, node, c)
+		close(l.done)
+	}()
+	return l
+}
+
+func (l *leg) wait() { <-l.done }
+
+// won reports whether the leg got a reply the backend judged, rather
+// than a failure a failover could route around.
+func (l *leg) won() bool { return l.err == nil && !retryable(l.fr.status) }
+
+// race sends c to primary and, once the class's hedge delay passes
+// without a reply, a second copy to second; the first winning reply is
+// returned with the node that produced it. Reads hedge against their
+// own node (a namespaced <id>@<node> exists on exactly one backend, so
+// any other node could only answer 404); keyed submits hedge against
+// the next candidate. bury disposes of the losing leg. The hedge needs
+// hedging on, a non-empty second, enough latency samples, the
+// gw.hedge fault point, and admit's breaker and budget checks; without
+// any of them race is a plain send. When both legs fail it reports the
+// primary's outcome, as an unhedged attempt would.
+func (g *Gateway) race(ctx context.Context, c call, primary, second string, bury func(*leg)) (forwardResult, string, error) {
+	delay, ok := time.Duration(0), g.cfg.Hedge && second != ""
+	if ok {
+		delay, ok = g.hedger.delay(c.class)
+	}
+	if !ok {
+		sctx, cancel := context.WithTimeout(ctx, attemptTimeout)
+		defer cancel()
+		fr, err := g.send(sctx, nil, primary, c)
+		return fr, primary, err
+	}
+	p := g.launch(ctx, primary, c)
+	select {
+	case <-p.done:
+		return p.fr, primary, p.err
+	case <-g.cfg.Clock.After(delay):
+	}
+	if g.cfg.Faults.Fire(FaultHedge) != nil || g.admit(second, true) != nil {
+		p.wait()
+		return p.fr, primary, p.err
 	}
 	g.metrics.hedgesFired.Add(1)
-	hgate, hch := launch(hedgeNode)
-
-	var winner submitRes
-	winNode, loserNode := primary, hedgeNode
-	loserGate, loserCh := hgate, hch
-	//thermlint:blocking -- both attempts are deadline-bound by raceAttemptTimeout; one arm resolves
+	h := g.launch(ctx, second, c)
+	win, lose := p, h
 	select {
-	case winner = <-pch:
-	case winner = <-hch:
-		winNode, loserNode = hedgeNode, primary
-		loserGate, loserCh = pgate, pch
+	case <-p.done:
+	case <-h.done:
+		win, lose = h, p
 	}
-	g.feedBreakerOutcome(winNode, winner.fr.status, winner.err)
-	if winner.err != nil || retryable(winner.fr.status) {
-		// The first finisher failed; let the other leg decide. A failed
-		// leg admitted nothing (transport errors and retryable 503s are
-		// refusals), so there is nothing to reap behind it.
-		//thermlint:blocking -- the attempt is deadline-bound by raceAttemptTimeout
-		second := <-loserCh
-		g.feedBreakerOutcome(loserNode, second.fr.status, second.err)
-		if second.err == nil && !retryable(second.fr.status) {
-			if loserNode == hedgeNode {
-				g.metrics.hedgesWon.Add(1)
-			} else {
-				g.metrics.hedgesWasted.Add(1)
-			}
-			return second.fr, loserNode, nil
+	if win.won() {
+		bury(lose)
+	} else {
+		// The first finisher failed, so it admitted nothing and there is
+		// nothing to bury; the other leg decides.
+		lose.wait()
+		if !lose.won() {
+			return p.fr, primary, p.err
 		}
-		// Both legs failed: report the primary's outcome so the caller's
-		// failover loop sees the same thing an unhedged attempt would.
-		if winNode == primary {
-			return winner.fr, primary, winner.err
-		}
-		return second.fr, primary, second.err
+		win = lose
 	}
-	if winNode == hedgeNode {
+	if win == h {
 		g.metrics.hedgesWon.Add(1)
 	} else {
 		g.metrics.hedgesWasted.Add(1)
 	}
-	if !loserGate.abort() {
-		// The loser is already on the wire; reap it off the request path.
-		//thermlint:goroutine -- the losing attempt and its cancel DELETE are both deadline-bound
-		go g.reapLoser(loserNode, loserCh)
-	}
-	return winner.fr, winNode, nil
+	return win.fr, win.node, nil
 }
 
-// reapLoser awaits a losing submit attempt that had already hit the
-// wire and cancels whatever job it admitted. DELETE marks a queued or
-// running job canceled; a job that somehow finished first answers 409
-// and is left as-is. The reap runs on a fresh background context — the
-// client's request is long since answered by the winner.
-func (g *Gateway) reapLoser(node string, ch chan submitRes) {
-	//thermlint:blocking -- the attempt is deadline-bound by raceAttemptTimeout
-	r := <-ch
-	g.feedBreakerOutcome(node, r.fr.status, r.err)
-	if r.err != nil || r.fr.status >= 300 {
-		return // nothing was admitted
-	}
-	var st server.Status
-	if err := json.Unmarshal(r.fr.body, &st); err != nil || st.ID == "" {
+// cancelLoser is the read races' loser cleanup: a GET has nothing to
+// reap, so the losing leg is cancelled mid-flight.
+func cancelLoser(l *leg) { l.cancel() }
+
+// reap is the keyed-submit races' loser cleanup. A loser still held
+// gateway-side (in an injected delay) is aborted at its sendGate and
+// never reaches the backend. One already on the wire must finish —
+// cancelling a POST mid-flight could orphan a job under an id nobody
+// learns — so it is awaited off the request path and the job it
+// admitted is DELETEd: a hedged submit never leaves two live copies of
+// the job behind. A job that finished first answers 409 and is left
+// as-is.
+func (g *Gateway) reap(l *leg) {
+	if l.gate.abort() {
 		return
 	}
-	rctx, cancel := context.WithTimeout(context.Background(), reapTimeout)
-	defer cancel()
-	fr, err := g.forward(rctx, node, http.MethodDelete, "/v1/jobs/"+st.ID, nil, nil)
-	if err == nil && fr.status == http.StatusOK {
-		g.metrics.hedgeCancels.Add(1)
+	go func() {
+		l.wait()
+		if l.err != nil || l.fr.status >= 300 {
+			return // nothing was admitted
+		}
+		var st server.Status
+		if err := json.Unmarshal(l.fr.body, &st); err != nil || st.ID == "" {
+			return
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), reapTimeout)
+		defer cancel()
+		fr, err := g.send(ctx, nil, l.node, call{method: http.MethodDelete, path: "/v1/jobs/" + st.ID})
+		if err == nil && fr.status == http.StatusOK {
+			g.metrics.hedgeCancels.Add(1)
+		}
+	}()
+}
+
+// relay copies a buffered backend reply to the client. With a non-empty
+// id, a reply that parses as a job Status document is re-encoded under
+// that id, the gateway-namespaced one the client knows; any other reply
+// goes out verbatim with the headers that carry semantics (content
+// type, backoff hints).
+func relay(w http.ResponseWriter, fr forwardResult, id string) {
+	if id != "" {
+		var st server.Status
+		if err := json.Unmarshal(fr.body, &st); err == nil && st.ID != "" {
+			st.ID = id
+			if v := fr.header.Get("Retry-After"); v != "" {
+				w.Header().Set("Retry-After", v)
+			}
+			httpjson.Write(w, fr.status, st)
+			return
+		}
 	}
+	for _, k := range []string{"Content-Type", "Retry-After"} {
+		if v := fr.header.Get(k); v != "" {
+			w.Header().Set(k, v)
+		}
+	}
+	w.WriteHeader(fr.status)
+	w.Write(fr.body)
 }
 
 // sleepRetryAfter honors the previous attempt's Retry-After hint
@@ -390,34 +354,6 @@ func (g *Gateway) sleepRetryAfter(ctx context.Context, fr *forwardResult) {
 	}
 }
 
-// relay copies a buffered backend reply to the client, preserving the
-// headers that carry semantics (content type, backoff hints).
-func relay(w http.ResponseWriter, fr forwardResult) {
-	for _, k := range []string{"Content-Type", "Retry-After"} {
-		if v := fr.header.Get(k); v != "" {
-			w.Header().Set(k, v)
-		}
-	}
-	w.WriteHeader(fr.status)
-	w.Write(fr.body)
-}
-
-// relayStatusRewrite relays a backend reply whose body is (or may be) a
-// job Status document, rewriting its id into the gateway namespace. A
-// body that does not parse as a Status with an id is relayed verbatim.
-func relayStatusRewrite(w http.ResponseWriter, fr forwardResult, node string) {
-	var st server.Status
-	if err := json.Unmarshal(fr.body, &st); err == nil && st.ID != "" {
-		st.ID = globalID(st.ID, node)
-		if v := fr.header.Get("Retry-After"); v != "" {
-			w.Header().Set("Retry-After", v)
-		}
-		writeJSON(w, fr.status, st)
-		return
-	}
-	relay(w, fr)
-}
-
 // handleSubmit places one job by its canonical spec hash and proxies
 // the submission to the chosen backend, forwarding the client's
 // Idempotency-Key untouched — the key dedupes on whichever node the
@@ -426,24 +362,24 @@ func relayStatusRewrite(w http.ResponseWriter, fr forwardResult, node string) {
 func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad job payload: %v", err)
+		httpjson.Error(w, http.StatusBadRequest, "bad job payload: %v", err)
 		return
 	}
 	var spec server.Spec
 	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, "bad job payload: %v", err)
+		httpjson.Error(w, http.StatusBadRequest, "bad job payload: %v", err)
 		return
 	}
 	hash, err := specHashOf(spec)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad job payload: %v", err)
+		httpjson.Error(w, http.StatusBadRequest, "bad job payload: %v", err)
 		return
 	}
 	plan, err := g.planRoute(hash)
 	if err != nil {
-		writeError(w, http.StatusServiceUnavailable, "%v", err)
+		httpjson.Error(w, http.StatusServiceUnavailable, "%v", err)
 		return
 	}
 	g.metrics.submitsRouted.Add(1)
@@ -454,8 +390,9 @@ func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		g.metrics.failovers.Add(1)
 	}
 	hdr := http.Header{}
-	if k := r.Header.Get("Idempotency-Key"); k != "" {
-		hdr.Set("Idempotency-Key", k)
+	idemKey := r.Header.Get("Idempotency-Key")
+	if idemKey != "" {
+		hdr.Set("Idempotency-Key", idemKey)
 	}
 	// The tenant identity travels byte-for-byte: the backend owns
 	// normalization, quota, and attribution.
@@ -463,64 +400,54 @@ func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		hdr.Set(server.TenantHeader, tenant)
 	}
 	hdr.Set("Content-Type", "application/json")
+	c := call{method: http.MethodPost, path: "/v1/jobs", body: body, header: hdr, class: hedgeClassSubmit, submits: 1}
+	// Attempts detach from the client's context: once a submit may have
+	// been admitted somewhere, the gateway must see the outcome even if
+	// the client hangs up, or it could neither relay nor reap the job.
+	ctx := context.WithoutCancel(r.Context())
 
 	attempts := plan.order
-	if len(attempts) > g.cfg.ForwardAttempts {
-		attempts = attempts[:g.cfg.ForwardAttempts]
+	if len(attempts) > forwardAttempts {
+		attempts = attempts[:forwardAttempts]
 	}
 	// One base request funds the retry budget; every failover retry and
 	// hedge below withdraws from it.
 	g.budget.deposit(1)
-	idemKey := r.Header.Get("Idempotency-Key")
 	var lastErr error
 	var lastFr *forwardResult
 	for i, node := range attempts {
-		if i > 0 {
-			if !g.budget.take() {
-				g.metrics.budgetExhausted.Add(1)
-				lastErr = fmt.Errorf("retry budget exhausted after: %v", lastErr)
-				break
+		if err := g.admit(node, i > 0); err != nil {
+			if lastErr != nil {
+				err = fmt.Errorf("%w after: %v", err, lastErr)
 			}
+			lastErr = err
+			continue
+		}
+		if i > 0 {
 			g.metrics.forwardRetries.Add(1)
 			// Honor the refusing backend's backoff hint before hammering
 			// the successor — a draining 503 with Retry-After is the herd
 			// asking for breathing room, not a race to the next node.
 			g.sleepRetryAfter(r.Context(), lastFr)
 		}
-		if !g.breaker.allow(node) {
-			g.metrics.breakerDenied.Add(1)
-			lastErr = fmt.Errorf("backend %s: circuit open", node)
-			continue
+		// Only Idempotency-Key-bearing submits are hedged, against the
+		// next candidate: the key is what makes a second copy of the
+		// request safe to send at all.
+		var second string
+		if idemKey != "" && i == 0 && len(attempts) > 1 {
+			second = attempts[1]
 		}
-		var fr forwardResult
-		var err error
-		if g.cfg.Hedge && i == 0 && idemKey != "" && len(attempts) > 1 {
-			// Only Idempotency-Key-bearing submits are hedged: the key is
-			// what makes a second copy of the request safe to send at all.
-			// raceSubmit feeds the breaker for both legs itself.
-			fr, node, err = g.raceSubmit(r.Context(), node, attempts[1], body, hdr)
-		} else {
-			cnt := g.inflightOf(node)
-			cnt.Add(1)
-			fr, err = g.timedForward(r.Context(), nil, hedgeClassSubmit, node, http.MethodPost, "/v1/jobs", body, hdr)
-			cnt.Add(-1)
-			g.feedBreakerOutcome(node, fr.status, err)
-		}
+		fr, winner, err := g.race(ctx, c, node, second, g.reap)
 		if err != nil {
-			// The backend never answered: suspect it so membership probes it
-			// now instead of at the next tick, then try the next candidate.
-			// The forwarded Idempotency-Key makes the retry safe even if the
+			// The backend never answered; try the next candidate. The
+			// forwarded Idempotency-Key makes the retry safe even if the
 			// backend admitted the job before the connection died.
-			g.members.suspect(node)
-			lastErr = err
-			lastFr = nil
+			lastErr, lastFr = err, nil
 			continue
 		}
 		if retryable(fr.status) && i < len(attempts)-1 {
-			g.members.suspect(node)
-			lastErr = fmt.Errorf("backend %s: HTTP %d", node, fr.status)
-			frCopy := fr
-			lastFr = &frCopy
+			lastErr = fmt.Errorf("backend %s: HTTP %d", winner, fr.status)
+			lastFr = &fr
 			continue
 		}
 		if fr.status < 300 {
@@ -534,10 +461,16 @@ func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
 				g.metrics.failoverDedupHits.Add(1)
 			}
 		}
-		relayStatusRewrite(w, fr, node)
+		// Only the backend's job id is needed here; a body without one
+		// (an error document) relays as-is.
+		var ref struct {
+			ID string `json:"id"`
+		}
+		json.Unmarshal(fr.body, &ref)
+		relay(w, fr, globalID(ref.ID, winner))
 		return
 	}
-	writeError(w, http.StatusBadGateway, "all candidate backends failed: %v", lastErr)
+	httpjson.Error(w, http.StatusBadGateway, "all candidate backends failed: %v", lastErr)
 }
 
 // handleSubmitBatch splits a batch by each spec's ring placement,
@@ -549,24 +482,24 @@ func (g *Gateway) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 8<<20))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad batch payload: %v", err)
+		httpjson.Error(w, http.StatusBadRequest, "bad batch payload: %v", err)
 		return
 	}
 	if len(req.Jobs) == 0 {
-		writeError(w, http.StatusBadRequest, "empty batch (want 1..%d jobs)", server.MaxBatchJobs)
+		httpjson.Error(w, http.StatusBadRequest, "empty batch (want 1..%d jobs)", server.MaxBatchJobs)
 		return
 	}
 	if len(req.Jobs) > server.MaxBatchJobs {
-		writeError(w, http.StatusBadRequest, "batch of %d jobs exceeds the %d-job limit", len(req.Jobs), server.MaxBatchJobs)
+		httpjson.Error(w, http.StatusBadRequest, "batch of %d jobs exceeds the %d-job limit", len(req.Jobs), server.MaxBatchJobs)
 		return
 	}
 	if len(req.IdempotencyKeys) != 0 && len(req.IdempotencyKeys) != len(req.Jobs) {
-		writeError(w, http.StatusBadRequest, "idempotency_keys length %d does not match jobs length %d",
+		httpjson.Error(w, http.StatusBadRequest, "idempotency_keys length %d does not match jobs length %d",
 			len(req.IdempotencyKeys), len(req.Jobs))
 		return
 	}
 	if len(req.Tenants) != 0 && len(req.Tenants) != len(req.Jobs) {
-		writeError(w, http.StatusBadRequest, "tenants length %d does not match jobs length %d",
+		httpjson.Error(w, http.StatusBadRequest, "tenants length %d does not match jobs length %d",
 			len(req.Tenants), len(req.Jobs))
 		return
 	}
@@ -628,18 +561,11 @@ func (g *Gateway) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 					hdr.Set(server.TenantHeader, tenant)
 				}
 				g.budget.deposit(len(idxs))
-				cnt := g.inflightOf(node)
-				cnt.Add(int64(len(idxs)))
-				fr, ferr := g.forward(r.Context(), node, http.MethodPost, "/v1/jobs:batch", payload, hdr)
-				cnt.Add(-int64(len(idxs)))
-				g.feedBreakerOutcome(node, fr.status, ferr)
+				fr, ferr := g.send(r.Context(), nil, node, call{method: http.MethodPost, path: "/v1/jobs:batch",
+					body: payload, header: hdr, submits: int64(len(idxs))})
 				if ferr != nil {
-					g.members.suspect(node)
 					err = ferr
 				} else if fr.status != http.StatusOK {
-					if retryable(fr.status) {
-						g.members.suspect(node)
-					}
 					err = fmt.Errorf("backend %s: HTTP %d", node, fr.status)
 				} else if uerr := json.Unmarshal(fr.body, &sr); uerr != nil {
 					err = fmt.Errorf("backend %s: bad batch response: %v", node, uerr)
@@ -666,100 +592,76 @@ func (g *Gateway) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 		}(node, idxs)
 	}
 	wg.Wait()
-	writeJSON(w, http.StatusOK, resp)
+	httpjson.Write(w, http.StatusOK, resp)
 }
 
 // byNodeForward resolves a namespaced job id and proxies the request to
 // the backend now serving it: the minting node normally, its takeover
 // successor when an alias says the minting node is dead and adopted.
-// GETs additionally chase live migrations — a reply that says the job
-// moved ("migrated" with a destination) is re-fetched from the
-// destination, where the job lives under "<id>@<origin>". The reply is
-// always relayed under the id the client asked with, so old ids keep
-// resolving no matter how many hops the job has made.
+// Status polls and result fetches are idempotent, so they are hedged
+// against that node, and they chase live migrations: a reply that says
+// the job moved ("migrated" with a destination) is re-fetched from the
+// destination, where the job lives under "<id>@<origin>". The chase is
+// bounded at 4 hops — a job migrates at most once per drain, and a
+// chain that long means cascading drains the client can retry through.
+// A hop that fails keeps the previous reply: a stale "migrated" answer
+// is still a truthful one. The reply is always relayed under the id the
+// client asked with, so old ids keep resolving no matter how many hops
+// the job has made.
 func (g *Gateway) byNodeForward(w http.ResponseWriter, r *http.Request, method, pathSuffix string) {
 	gid := r.PathValue("id")
 	id, node, ok := splitID(gid)
 	if !ok {
-		writeError(w, http.StatusNotFound, "unknown job %q (gateway job ids look like <id>@<node>)", gid)
+		httpjson.Error(w, http.StatusNotFound, "unknown job %q (gateway job ids look like <id>@<node>)", gid)
 		return
 	}
 	// The alias chain wins over tombstones: a taken-over node's jobs
 	// are served by its successor, not the corpse.
 	id, node = g.resolveAlias(id, node)
 	if _, known := g.lookupBackend(node); !known {
-		writeError(w, http.StatusNotFound, "unknown job %q: no backend named %q", gid, node)
+		httpjson.Error(w, http.StatusNotFound, "unknown job %q: no backend named %q", gid, node)
 		return
 	}
 	g.budget.deposit(1)
+	c := call{method: method, path: "/v1/jobs/" + id + pathSuffix}
 	var fr forwardResult
 	var err error
-	if method == http.MethodGet {
-		// Status polls and result fetches are idempotent: hedge them.
-		fr, err = g.raceRead(r.Context(), hedgeClassStatus, node, "/v1/jobs/"+id+pathSuffix)
-		if err == nil {
-			fr, node = g.chaseMigrated(r.Context(), fr, id, node, pathSuffix)
-		}
+	if method != http.MethodGet {
+		fr, err = g.send(r.Context(), nil, node, c)
 	} else {
-		fr, err = g.forward(r.Context(), node, method, "/v1/jobs/"+id+pathSuffix, nil, nil)
+		c.class = hedgeClassStatus
+		fr, _, err = g.race(r.Context(), c, node, node, cancelLoser)
 	}
-	g.feedBreakerOutcome(node, fr.status, err)
 	if err != nil {
-		g.members.suspect(node)
-		writeError(w, http.StatusBadGateway, "%v", err)
+		httpjson.Error(w, http.StatusBadGateway, "%v", err)
 		return
 	}
-	if pathSuffix != "" && fr.status == http.StatusOK {
-		// A completed result document is opaque payload; relay it as-is.
-		relay(w, fr)
-		return
-	}
-	relayStatusRewriteAs(w, fr, gid)
-}
-
-// chaseMigrated follows a migrated job to its destination: both the
-// status endpoint (200) and the result endpoint (its 409 for an
-// unfinished job) reply with the job's Status document, so a reply
-// naming a migration destination is re-fetched from that node under
-// the adopted id "<id>@<origin>". Bounded at 4 hops — a job migrates
-// at most once per drain, and a chain that long means cascading drains
-// the client can retry through. A hop that fails keeps the previous
-// reply: a stale "migrated" answer is still a truthful one.
-func (g *Gateway) chaseMigrated(ctx context.Context, fr forwardResult, id, node, pathSuffix string) (forwardResult, string) {
-	for hop := 0; hop < 4; hop++ {
+	// Both the status endpoint (200) and the result endpoint (its 409
+	// for an unfinished job) reply with the job's Status document. A
+	// cancel is not chased.
+	for hop := 0; hop < 4 && method == http.MethodGet; hop++ {
 		var st server.Status
 		if err := json.Unmarshal(fr.body, &st); err != nil ||
 			st.State != server.StateMigrated || st.MigratedTo == "" {
-			return fr, node
+			break
 		}
 		if _, known := g.lookupBackend(st.MigratedTo); !known {
-			return fr, node
+			break
 		}
-		nextID, nextNode := id+"@"+node, st.MigratedTo
-		nfr, err := g.raceRead(ctx, hedgeClassStatus, nextNode, "/v1/jobs/"+nextID+pathSuffix)
+		id, node = id+"@"+node, st.MigratedTo
+		c.path = "/v1/jobs/" + id + pathSuffix
+		next, _, err := g.race(r.Context(), c, node, node, cancelLoser)
 		if err != nil {
-			return fr, node
+			break
 		}
-		fr, id, node = nfr, nextID, nextNode
+		fr = next
 	}
-	return fr, node
-}
-
-// relayStatusRewriteAs relays a backend reply whose body is (or may
-// be) a job Status document, forcing its id to the given gateway-
-// namespaced id — the one the client asked with, which alias and
-// migration chases may have internally rewritten several hops away.
-func relayStatusRewriteAs(w http.ResponseWriter, fr forwardResult, gid string) {
-	var st server.Status
-	if err := json.Unmarshal(fr.body, &st); err == nil && st.ID != "" {
-		st.ID = gid
-		if v := fr.header.Get("Retry-After"); v != "" {
-			w.Header().Set("Retry-After", v)
-		}
-		writeJSON(w, fr.status, st)
+	if pathSuffix != "" && fr.status == http.StatusOK {
+		// A completed result document is opaque payload; relay it as-is.
+		relay(w, fr, "")
 		return
 	}
-	relay(w, fr)
+	relay(w, fr, gid)
 }
 
 func (g *Gateway) handleStatus(w http.ResponseWriter, r *http.Request) {
@@ -783,31 +685,23 @@ func (g *Gateway) handlePassthrough(path string) http.HandlerFunc {
 				continue
 			}
 			g.budget.deposit(1)
-			fr, err := g.forward(r.Context(), node, http.MethodGet, path, nil, nil)
+			fr, err := g.send(r.Context(), nil, node, call{method: http.MethodGet, path: path})
 			if err != nil {
-				g.members.suspect(node)
 				continue
 			}
-			relay(w, fr)
+			relay(w, fr, "")
 			return
 		}
-		writeError(w, http.StatusServiceUnavailable, "no routable backends")
+		httpjson.Error(w, http.StatusServiceUnavailable, "no routable backends")
 	}
 }
 
-// scatterReply is one backend's leg of a scatter-gather.
-type scatterReply struct {
-	node string
-	fr   forwardResult
-	err  error
-}
-
-// scatter issues the same GET to every configured backend (ejected
-// ones included — they may still answer, and their jobs still exist)
-// under the per-backend scatter timeout, returning one reply per node.
-func (g *Gateway) scatter(ctx context.Context, path string) []scatterReply {
-	nodes := g.ringNodes()
-	replies := make([]scatterReply, len(nodes))
+// scatter runs fn once per ring backend, concurrently, each under the
+// per-backend scatter timeout and funded as a base request. Ejected
+// backends are included: they may still answer, and their jobs still
+// exist. A leg may hedge against its own node; callers keep one result
+// per node either way, so a won hedge can never double-count a backend.
+func (g *Gateway) scatter(ctx context.Context, nodes []string, fn func(ctx context.Context, i int, node string)) {
 	var wg sync.WaitGroup
 	for i, node := range nodes {
 		wg.Add(1)
@@ -815,19 +709,26 @@ func (g *Gateway) scatter(ctx context.Context, path string) []scatterReply {
 			defer wg.Done()
 			sctx, cancel := context.WithTimeout(ctx, g.cfg.ScatterTimeout)
 			defer cancel()
-			// Each leg is a base request (deposit) and may hedge against
-			// its own node — the merge keeps one reply per node either
-			// way, so a won hedge can never double-count a backend.
 			g.budget.deposit(1)
-			fr, err := g.raceRead(sctx, hedgeClassScatter, node, path)
-			if err == nil && fr.status != http.StatusOK {
-				err = fmt.Errorf("backend %s: HTTP %d", node, fr.status)
-			}
-			replies[i] = scatterReply{node: node, fr: fr, err: err}
+			fn(sctx, i, node)
 		}(i, node)
 	}
 	wg.Wait()
-	return replies
+}
+
+// scatterGet is a scatter leg's GET, hedged against its own node. A
+// non-200 reply is an error quoting the backend's own complaint (e.g.
+// a bad status filter) when it sent one.
+func (g *Gateway) scatterGet(ctx context.Context, node, path string) (forwardResult, error) {
+	fr, _, err := g.race(ctx, call{method: http.MethodGet, path: path, class: hedgeClassScatter}, node, node, cancelLoser)
+	if err != nil || fr.status == http.StatusOK {
+		return fr, err
+	}
+	var ed httpjson.ErrorDoc
+	if json.Unmarshal(fr.body, &ed) == nil && ed.Error != "" {
+		return fr, fmt.Errorf("backend %s: %s", node, ed.Error)
+	}
+	return fr, fmt.Errorf("backend %s: HTTP %d", node, fr.status)
 }
 
 // ListDoc is the gateway's GET /v1/jobs document: the merged backend
@@ -852,7 +753,7 @@ func (g *Gateway) handleList(w http.ResponseWriter, r *http.Request) {
 	if v := q.Get("limit"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n <= 0 || n > 500 {
-			writeError(w, http.StatusBadRequest, "bad limit %q (want 1..500)", v)
+			httpjson.Error(w, http.StatusBadRequest, "bad limit %q (want 1..500)", v)
 			return
 		}
 		limit = n
@@ -861,7 +762,7 @@ func (g *Gateway) handleList(w http.ResponseWriter, r *http.Request) {
 	if v := q.Get("offset"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n < 0 {
-			writeError(w, http.StatusBadRequest, "bad offset %q (want >= 0)", v)
+			httpjson.Error(w, http.StatusBadRequest, "bad offset %q (want >= 0)", v)
 			return
 		}
 		offset = n
@@ -878,34 +779,25 @@ func (g *Gateway) handleList(w http.ResponseWriter, r *http.Request) {
 		err   error
 	}
 	legs := make([]legResult, len(nodes))
-	var wg sync.WaitGroup
-	for i, node := range nodes {
-		wg.Add(1)
-		go func(i int, node string) {
-			defer wg.Done()
-			sctx, cancel := context.WithTimeout(r.Context(), g.cfg.ScatterTimeout)
-			defer cancel()
-			g.budget.deposit(1)
-			jobs, total, err := g.fetchJobs(sctx, node, statusFilter, tenantFilter, need)
-			legs[i] = legResult{node: node, jobs: jobs, total: total, err: err}
-		}(i, node)
-	}
-	wg.Wait()
+	g.scatter(r.Context(), nodes, func(ctx context.Context, i int, node string) {
+		jobs, total, err := g.fetchJobs(ctx, node, statusFilter, tenantFilter, need)
+		legs[i] = legResult{node: node, jobs: jobs, total: total, err: err}
+	})
 
 	doc := ListDoc{}
 	var merged []server.Status
-	for _, leg := range legs {
-		if leg.err != nil {
+	for _, part := range legs {
+		if part.err != nil {
 			doc.Partial = true
 			if doc.BackendErrors == nil {
 				doc.BackendErrors = make(map[string]string)
 			}
-			doc.BackendErrors[leg.node] = leg.err.Error()
+			doc.BackendErrors[part.node] = part.err.Error()
 			continue
 		}
-		doc.Total += leg.total
-		for _, st := range leg.jobs {
-			st.ID = globalID(st.ID, leg.node)
+		doc.Total += part.total
+		for _, st := range part.jobs {
+			st.ID = globalID(st.ID, part.node)
 			merged = append(merged, st)
 		}
 	}
@@ -928,7 +820,7 @@ func (g *Gateway) handleList(w http.ResponseWriter, r *http.Request) {
 			doc.NextOffset = &next
 		}
 	}
-	writeJSON(w, http.StatusOK, doc)
+	httpjson.Write(w, http.StatusOK, doc)
 }
 
 // fetchJobs pages one backend's GET /v1/jobs until it has the first
@@ -946,17 +838,9 @@ func (g *Gateway) fetchJobs(ctx context.Context, node, statusFilter, tenantFilte
 		if tenantFilter != "" {
 			path += "&tenant=" + url.QueryEscape(tenantFilter)
 		}
-		fr, err := g.raceRead(ctx, hedgeClassScatter, node, path)
+		fr, err := g.scatterGet(ctx, node, path)
 		if err != nil {
 			return nil, 0, err
-		}
-		if fr.status != http.StatusOK {
-			// Relay the backend's own complaint (e.g. a bad status filter).
-			var ed errorDoc
-			if json.Unmarshal(fr.body, &ed) == nil && ed.Error != "" {
-				return nil, 0, fmt.Errorf("backend %s: %s", node, ed.Error)
-			}
-			return nil, 0, fmt.Errorf("backend %s: HTTP %d", node, fr.status)
 		}
 		var page server.ListResponse
 		if err := json.Unmarshal(fr.body, &page); err != nil {
@@ -980,20 +864,26 @@ func (g *Gateway) fetchJobs(ctx context.Context, node, statusFilter, tenantFilte
 // counters), "backends" (the membership snapshot), and "partial"
 // (true when a backend's leg failed, meaning the sums undercount).
 func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	replies := g.scatter(r.Context(), "/metrics")
+	nodes := g.ringNodes()
+	docs := make([]map[string]any, len(nodes))
+	errs := make([]error, len(nodes))
+	g.scatter(r.Context(), nodes, func(ctx context.Context, i int, node string) {
+		fr, err := g.scatterGet(ctx, node, "/metrics")
+		if err == nil {
+			if uerr := json.Unmarshal(fr.body, &docs[i]); uerr != nil {
+				err = fmt.Errorf("bad metrics body: %v", uerr)
+			}
+		}
+		errs[i] = err
+	})
 	doc := make(map[string]any)
 	backendErrs := make(map[string]string)
-	for _, rep := range replies {
-		if rep.err != nil {
-			backendErrs[rep.node] = rep.err.Error()
+	for i, node := range nodes {
+		if errs[i] != nil {
+			backendErrs[node] = errs[i].Error()
 			continue
 		}
-		var m map[string]any
-		if err := json.Unmarshal(rep.fr.body, &m); err != nil {
-			backendErrs[rep.node] = fmt.Sprintf("bad metrics body: %v", err)
-			continue
-		}
-		mergeDocs(doc, m)
+		mergeDocs(doc, docs[i])
 	}
 	partial := len(backendErrs) > 0
 	if partial {
@@ -1012,7 +902,7 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if partial {
 		doc[metricBackendErrors] = backendErrs
 	}
-	writeJSON(w, http.StatusOK, doc)
+	httpjson.Write(w, http.StatusOK, doc)
 }
 
 // mergeDocs folds src into dst: numbers add, booleans OR, maps recurse.
@@ -1064,7 +954,7 @@ func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	g.topo.RLock()
 	n := len(g.byName)
 	g.topo.RUnlock()
-	writeJSON(w, http.StatusOK, map[string]any{
+	httpjson.Write(w, http.StatusOK, map[string]any{
 		"status":   "ok",
 		"backends": n,
 	})
@@ -1094,8 +984,8 @@ func (g *Gateway) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	}
 	if !doc.Ready {
 		doc.Reason = "no routable backends"
-		writeJSON(w, http.StatusServiceUnavailable, doc)
+		httpjson.Write(w, http.StatusServiceUnavailable, doc)
 		return
 	}
-	writeJSON(w, http.StatusOK, doc)
+	httpjson.Write(w, http.StatusOK, doc)
 }

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"thermalherd/internal/faultinject"
+	"thermalherd/internal/httpjson"
 )
 
 // TestGatewayHedgedSubmitStraggler is the headline resilience property:
@@ -154,7 +155,7 @@ func newScriptedBackend(t *testing.T, submit func(n int, w http.ResponseWriter))
 	s := &scriptedBackend{submit: submit}
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, readyzDoc{Ready: true})
+		httpjson.Write(w, http.StatusOK, readyzDoc{Ready: true})
 	})
 	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
 		s.mu.Lock()
@@ -180,11 +181,11 @@ func (s *scriptedBackend) setSubmit(fn func(n int, w http.ResponseWriter)) {
 // before the submit fails over to the ring successor.
 func TestGatewayRetryAfterHonored(t *testing.T) {
 	accept := func(n int, w http.ResponseWriter) {
-		writeJSON(w, http.StatusAccepted, map[string]any{"id": "job-" + itoa6(n), "state": "queued"})
+		httpjson.Write(w, http.StatusAccepted, map[string]any{"id": "job-" + itoa6(n), "state": "queued"})
 	}
 	refuse := func(n int, w http.ResponseWriter) {
 		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusServiceUnavailable, "draining")
+		httpjson.Error(w, http.StatusServiceUnavailable, "draining")
 	}
 	// Script both nodes to refuse-with-hint; whichever the spec homes on
 	// exercises the backoff, and the successor accepts.
@@ -281,4 +282,49 @@ func TestGatewayHedgeRespectsBudget(t *testing.T) {
 		t.Fatal("budget_exhausted never counted the refused hedge")
 	}
 	waitDone(t, ts.URL, st.ID)
+}
+
+// TestBreakerDenialCostsNoRetry: a candidate the breaker refuses is
+// never sent, so it must cost nothing — no retry-budget token, no
+// forward_retries count, no Retry-After sleep. With every breaker
+// forced open, a 2-node submit answers 502 with the budget still full,
+// and a hedge leg (which goes through the same admission) is refused
+// without spending a token either.
+func TestBreakerDenialCostsNoRetry(t *testing.T) {
+	faults := faultinject.New()
+	g, ts, handles := startHerdWith(t, 2, func(c *Config) { c.Faults = faults })
+	tokens := func() float64 {
+		g.budget.mu.Lock()
+		defer g.budget.mu.Unlock()
+		return g.budget.tokens
+	}
+	full := tokens()
+	if err := faults.Arm(FaultBreaker+"=error:forced-open", 1); err != nil {
+		t.Fatalf("Arm: %v", err)
+	}
+	resp, raw := postJSON(t, ts.URL+"/v1/jobs", quickSpec("bitcount"), nil)
+	if resp.StatusCode != http.StatusBadGateway {
+		t.Fatalf("submit with every breaker forced open = HTTP %d (%s), want 502", resp.StatusCode, raw)
+	}
+	if got := g.metrics.forwardRetries.Load(); got != 0 {
+		t.Fatalf("forward_retries = %d, want 0: no retry was ever sent", got)
+	}
+	if got := tokens(); got != full {
+		t.Fatalf("retry budget = %v after the refused submit, want it untouched at %v", got, full)
+	}
+	if got := g.metrics.breakerDenied.Load(); got != 2 {
+		t.Fatalf("breaker_denied = %d, want 2 (both candidates)", got)
+	}
+	if err := g.admit("n1", true); err == nil {
+		t.Fatal("forced-open breaker admitted a hedge leg")
+	}
+	if got := tokens(); got != full {
+		t.Fatalf("retry budget = %v after a refused hedge leg, want it untouched at %v", got, full)
+	}
+	faults.Disarm()
+	for _, h := range handles {
+		if got := metricAt(t, fetchMetrics(t, h.ts.URL), "jobs.submitted"); got != 0 {
+			t.Fatalf("backend %s saw %v submissions, want 0", h.name, got)
+		}
+	}
 }

@@ -1,11 +1,9 @@
 package gateway
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"net/url"
 	"time"
@@ -114,19 +112,12 @@ func (g *Gateway) ejectLocked(name string) uint64 {
 // postAdopt asks the successor to replay origin's replica journal and
 // adopt its jobs (POST /v1/replica/{origin}/adopt).
 func (g *Gateway) postAdopt(ctx context.Context, succ Backend, origin string) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		succ.URL+"/v1/replica/"+url.PathEscape(origin)+"/adopt", nil)
+	fr, err := g.exchange(ctx, succ.URL, call{method: http.MethodPost, path: "/v1/replica/" + url.PathEscape(origin) + "/adopt"})
 	if err != nil {
 		return err
 	}
-	resp, err := g.hc.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<20))
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("adopt of %s on %s: HTTP %d", origin, succ.Name, resp.StatusCode)
+	if fr.status != http.StatusOK {
+		return fmt.Errorf("adopt of %s on %s: HTTP %d", origin, succ.Name, fr.status)
 	}
 	return nil
 }
@@ -155,19 +146,13 @@ func (g *Gateway) migrateNode(ctx context.Context, origin string) (string, error
 	if err != nil {
 		return "", err
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ob.URL+"/v1/migrate", bytes.NewReader(payload))
+	fr, err := g.exchange(ctx, ob.URL, call{method: http.MethodPost, path: "/v1/migrate", body: payload,
+		header: http.Header{"Content-Type": {"application/json"}}})
 	if err != nil {
 		return "", err
 	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := g.hc.Do(req)
-	if err != nil {
-		return "", err
-	}
-	defer resp.Body.Close()
-	io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<20))
-	if resp.StatusCode != http.StatusOK {
-		return "", fmt.Errorf("migrate on %s: HTTP %d", origin, resp.StatusCode)
+	if fr.status != http.StatusOK {
+		return "", fmt.Errorf("migrate on %s: HTTP %d", origin, fr.status)
 	}
 	g.metrics.migrations.Add(1)
 	return succ, nil

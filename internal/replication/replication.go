@@ -11,8 +11,6 @@
 //
 //   - none: no replication; a dead node's jobs die with it (the PR 5
 //     WAL still covers the node's own restart).
-//   - async: records are buffered and streamed in the background; an
-//     ack can be lost if the node dies inside the buffer window.
 //   - sync: the submit ack waits for the successor's append; a lost
 //     ack requires losing both chain links at once.
 //
@@ -29,7 +27,6 @@ import (
 	"io"
 	"net/http"
 	"net/url"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -52,9 +49,6 @@ type Policy string
 const (
 	// PolicyNone disables replication.
 	PolicyNone Policy = "none"
-	// PolicyAsync buffers records and streams them in the background;
-	// acks do not wait.
-	PolicyAsync Policy = "async"
 	// PolicySync blocks each journaled event on the successor's append;
 	// an acked job survives the primary's death.
 	PolicySync Policy = "sync"
@@ -64,12 +58,12 @@ const (
 // PolicyNone.
 func ParsePolicy(s string) (Policy, error) {
 	switch Policy(s) {
-	case PolicyNone, PolicyAsync, PolicySync:
+	case PolicyNone, PolicySync:
 		return Policy(s), nil
 	case "":
 		return PolicyNone, nil
 	}
-	return "", fmt.Errorf("replication: unknown policy %q (want none, async, or sync)", s)
+	return "", fmt.Errorf("replication: unknown policy %q (want none or sync)", s)
 }
 
 // Options configures New.
@@ -99,15 +93,7 @@ type Stats struct {
 	// StreamErrors counts batches the successor rejected or never
 	// received.
 	StreamErrors uint64
-	// Dropped counts events discarded because the async buffer was full
-	// (never under sync: those fail the ack instead).
-	Dropped uint64
 }
-
-// asyncBuffer bounds the async policy's in-flight window; a full
-// buffer drops the oldest-pending semantics in favor of dropping the
-// new event and counting it, so a dead successor cannot wedge submits.
-const asyncBuffer = 1024
 
 // Streamer replicates journal events to the ring successor under one
 // ack policy. Methods are safe for concurrent use.
@@ -117,18 +103,9 @@ type Streamer struct {
 
 	streamed     atomic.Uint64
 	streamErrors atomic.Uint64
-	dropped      atomic.Uint64
-
-	// ch feeds the async flusher; nil under none/sync.
-	ch   chan journal.Event
-	stop chan struct{}
-	done chan struct{}
-
-	closeOnce sync.Once
 }
 
-// New builds a streamer for the given policy. Under PolicyAsync a
-// background flusher goroutine starts immediately; Close stops it.
+// New builds a streamer for the given policy.
 func New(opts Options) (*Streamer, error) {
 	if _, err := ParsePolicy(string(opts.Policy)); err != nil {
 		return nil, err
@@ -148,12 +125,6 @@ func New(opts Options) (*Streamer, error) {
 	if s.client == nil {
 		s.client = &http.Client{Timeout: 2 * time.Second}
 	}
-	if opts.Policy == PolicyAsync {
-		s.ch = make(chan journal.Event, asyncBuffer)
-		s.stop = make(chan struct{})
-		s.done = make(chan struct{})
-		go s.flushLoop()
-	}
 	return s, nil
 }
 
@@ -167,61 +138,18 @@ func (s *Streamer) Policy() Policy {
 
 // Replicate ships one journal event to the successor per the policy.
 // Under sync a non-nil error means the event is NOT replicated and the
-// caller must withhold the acknowledgment; under async and none the
-// return is always nil (failures are counted, not propagated). Safe on
-// a nil receiver (no-op), so callers need no policy branching.
+// caller must withhold the acknowledgment; under none it is a no-op.
+// Safe on a nil receiver (no-op), so callers need no policy branching.
 func (s *Streamer) Replicate(ev journal.Event) error {
 	if s == nil || s.opts.Policy == PolicyNone {
 		return nil
 	}
-	if s.opts.Policy == PolicySync {
-		return s.send([]journal.Event{ev})
-	}
-	select {
-	case s.ch <- ev:
-	default:
-		s.dropped.Add(1)
-	}
-	return nil
+	return s.send(ev)
 }
 
-// flushLoop drains the async buffer, batching whatever is pending into
-// one replica append per wakeup.
-func (s *Streamer) flushLoop() {
-	defer close(s.done)
-	for {
-		var first journal.Event
-		select {
-		case <-s.stop:
-			// Final drain: ship whatever is still buffered so a graceful
-			// close loses nothing that was accepted into the buffer.
-			for {
-				select {
-				case ev := <-s.ch:
-					s.send([]journal.Event{ev}) // best-effort; errors are counted
-				default:
-					return
-				}
-			}
-		case first = <-s.ch:
-		}
-		batch := []journal.Event{first}
-		for len(batch) < 64 {
-			select {
-			case ev := <-s.ch:
-				batch = append(batch, ev)
-			default:
-				goto ship
-			}
-		}
-	ship:
-		s.send(batch) // best-effort; errors are counted
-	}
-}
-
-// send POSTs one framed batch to the current successor's replica
+// send POSTs one framed event to the current successor's replica
 // endpoint. An empty target URL (no successor) succeeds vacuously.
-func (s *Streamer) send(events []journal.Event) error {
+func (s *Streamer) send(ev journal.Event) error {
 	if ferr := s.opts.Faults.Fire(FaultStream); ferr != nil {
 		s.streamErrors.Add(1)
 		return ferr
@@ -230,7 +158,7 @@ func (s *Streamer) send(events []journal.Event) error {
 	if base == "" {
 		return nil
 	}
-	body, err := journal.EncodeFrames(events)
+	body, err := journal.EncodeFrames([]journal.Event{ev})
 	if err != nil {
 		s.streamErrors.Add(1)
 		return err
@@ -247,7 +175,7 @@ func (s *Streamer) send(events []journal.Event) error {
 		s.streamErrors.Add(1)
 		return fmt.Errorf("replication: append to %s: HTTP %d", target, resp.StatusCode)
 	}
-	s.streamed.Add(uint64(len(events)))
+	s.streamed.Add(1)
 	return nil
 }
 
@@ -259,18 +187,10 @@ func (s *Streamer) Stats() Stats {
 	return Stats{
 		Streamed:     s.streamed.Load(),
 		StreamErrors: s.streamErrors.Load(),
-		Dropped:      s.dropped.Load(),
 	}
 }
 
-// Close stops the async flusher after a final best-effort drain of the
-// buffer. Idempotent; a nil or non-async streamer closes trivially.
-func (s *Streamer) Close() {
-	if s == nil || s.ch == nil {
-		return
-	}
-	s.closeOnce.Do(func() {
-		close(s.stop)
-		<-s.done
-	})
-}
+// Close releases the streamer. Sends are synchronous, so nothing is
+// pending; it exists so owners can tie the streamer's lifetime to
+// their own shutdown.
+func (s *Streamer) Close() {}

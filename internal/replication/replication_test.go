@@ -7,7 +7,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"thermalherd/internal/faultinject"
 	"thermalherd/internal/journal"
@@ -64,13 +63,15 @@ func target(rs *replicaSink) func() (string, string) {
 }
 
 func TestParsePolicy(t *testing.T) {
-	for _, s := range []string{"", "none", "async", "sync"} {
+	for _, s := range []string{"", "none", "sync"} {
 		if _, err := ParsePolicy(s); err != nil {
 			t.Errorf("ParsePolicy(%q): %v", s, err)
 		}
 	}
-	if _, err := ParsePolicy("quorum"); err == nil {
-		t.Error("ParsePolicy accepted an unknown policy")
+	for _, s := range []string{"quorum", "async"} {
+		if _, err := ParsePolicy(s); err == nil {
+			t.Errorf("ParsePolicy accepted the unknown policy %q", s)
+		}
 	}
 }
 
@@ -129,31 +130,6 @@ func TestSyncReplicateFaultPoint(t *testing.T) {
 	if err := s.Replicate(ev); err != nil {
 		t.Fatalf("replicate after the fault's count expired: %v", err)
 	}
-}
-
-// TestAsyncReplicate: the async policy never fails the caller and the
-// background flusher delivers the buffered records; Close drains the
-// tail.
-func TestAsyncReplicate(t *testing.T) {
-	rs := newReplicaSink(t)
-	s, err := New(Options{Policy: PolicyAsync, Origin: "n1", Target: target(rs)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		if err := s.Replicate(journal.Event{Type: journal.EventAccepted, ID: "job"}); err != nil {
-			t.Fatalf("async replicate: %v", err)
-		}
-	}
-	s.Close()
-	deadline := time.Now().Add(5 * time.Second)
-	for rs.count("n1") < 10 {
-		if time.Now().After(deadline) {
-			t.Fatalf("successor holds %d events after close, want 10", rs.count("n1"))
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	s.Close() // idempotent
 }
 
 // TestNonePolicyNoop: none (and a nil streamer) replicate vacuously.

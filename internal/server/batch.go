@@ -5,6 +5,8 @@ import (
 	"net/http"
 	"sort"
 	"strconv"
+
+	"thermalherd/internal/httpjson"
 )
 
 // MaxBatchJobs bounds one POST /v1/jobs:batch payload; larger batches
@@ -51,31 +53,31 @@ func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 		s.metrics.inc(&s.metrics.rejected)
 		s.metrics.tinc(hdrTenant, tcSubmitted)
 		s.metrics.tinc(hdrTenant, tcRejected)
-		writeError(w, http.StatusServiceUnavailable, "server is draining; not accepting jobs")
+		httpjson.Error(w, http.StatusServiceUnavailable, "server is draining; not accepting jobs")
 		return
 	}
 	var req BatchRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 8<<20))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad batch payload: %v", err)
+		httpjson.Error(w, http.StatusBadRequest, "bad batch payload: %v", err)
 		return
 	}
 	if len(req.Jobs) == 0 {
-		writeError(w, http.StatusBadRequest, "empty batch (want 1..%d jobs)", MaxBatchJobs)
+		httpjson.Error(w, http.StatusBadRequest, "empty batch (want 1..%d jobs)", MaxBatchJobs)
 		return
 	}
 	if len(req.Jobs) > MaxBatchJobs {
-		writeError(w, http.StatusBadRequest, "batch of %d jobs exceeds the %d-job limit", len(req.Jobs), MaxBatchJobs)
+		httpjson.Error(w, http.StatusBadRequest, "batch of %d jobs exceeds the %d-job limit", len(req.Jobs), MaxBatchJobs)
 		return
 	}
 	if len(req.IdempotencyKeys) != 0 && len(req.IdempotencyKeys) != len(req.Jobs) {
-		writeError(w, http.StatusBadRequest, "idempotency_keys length %d does not match jobs length %d",
+		httpjson.Error(w, http.StatusBadRequest, "idempotency_keys length %d does not match jobs length %d",
 			len(req.IdempotencyKeys), len(req.Jobs))
 		return
 	}
 	if len(req.Tenants) != 0 && len(req.Tenants) != len(req.Jobs) {
-		writeError(w, http.StatusBadRequest, "tenants length %d does not match jobs length %d",
+		httpjson.Error(w, http.StatusBadRequest, "tenants length %d does not match jobs length %d",
 			len(req.Tenants), len(req.Jobs))
 		return
 	}
@@ -127,19 +129,19 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 		case StateQueued, StateRunning, StateDone, StateFailed, StateCanceled, StateMigrated:
 			filter = State(v)
 		default:
-			writeError(w, http.StatusBadRequest, "unknown status %q (want queued, running, done, failed, canceled, or migrated)", v)
+			httpjson.Error(w, http.StatusBadRequest, "unknown status %q (want queued, running, done, failed, canceled, or migrated)", v)
 			return
 		}
 	}
 	tenantFilter := q.Get("tenant")
 	limit, err := queryInt(q.Get("limit"), defaultListLimit)
 	if err != nil || limit <= 0 || limit > maxListLimit {
-		writeError(w, http.StatusBadRequest, "bad limit %q (want 1..%d)", q.Get("limit"), maxListLimit)
+		httpjson.Error(w, http.StatusBadRequest, "bad limit %q (want 1..%d)", q.Get("limit"), maxListLimit)
 		return
 	}
 	offset, err := queryInt(q.Get("offset"), 0)
 	if err != nil || offset < 0 {
-		writeError(w, http.StatusBadRequest, "bad offset %q (want >= 0)", q.Get("offset"))
+		httpjson.Error(w, http.StatusBadRequest, "bad offset %q (want >= 0)", q.Get("offset"))
 		return
 	}
 	s.metrics.inc(&s.metrics.listRequests)
@@ -177,7 +179,7 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 			resp.NextOffset = &next
 		}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	httpjson.Write(w, http.StatusOK, resp)
 }
 
 // queryInt parses an optional integer query parameter.

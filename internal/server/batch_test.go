@@ -8,6 +8,8 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"thermalherd/internal/httpjson"
 )
 
 func submitBatch(t *testing.T, url, body string) (*http.Response, BatchResponse) {
@@ -263,7 +265,7 @@ func TestMethodNotAllowed(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var doc errorDoc
+		var doc httpjson.ErrorDoc
 		json.NewDecoder(resp.Body).Decode(&doc)
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusMethodNotAllowed {

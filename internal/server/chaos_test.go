@@ -15,6 +15,7 @@ import (
 
 	"thermalherd/internal/clock"
 	"thermalherd/internal/faultinject"
+	"thermalherd/internal/httpjson"
 )
 
 // chaosServer builds a started server with an armed fault registry.
@@ -362,7 +363,7 @@ func TestSpecMarshalFailure400(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("unmarshalable spec = %s, want 400", resp.Status)
 	}
-	var doc errorDoc
+	var doc httpjson.ErrorDoc
 	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil || !strings.Contains(doc.Error, "not marshalable") {
 		t.Fatalf("error body = %+v, %v", doc, err)
 	}

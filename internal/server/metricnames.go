@@ -42,7 +42,6 @@ const (
 	metricReplPolicy        = "repl.policy"
 	metricReplStreamed      = "repl.streamed"
 	metricReplStreamErrors  = "repl.stream_errors"
-	metricReplDropped       = "repl.dropped"
 	metricReplReplicaEvents = "repl.replica_events"
 	metricReplAdopted       = "repl.adopted"
 	metricReplAliased       = "repl.aliased"
@@ -141,7 +140,6 @@ func MetricNames() []string {
 		metricReplPolicy,
 		metricReplStreamed,
 		metricReplStreamErrors,
-		metricReplDropped,
 		metricReplReplicaEvents,
 		metricReplAdopted,
 		metricReplAliased,

@@ -214,7 +214,6 @@ type gauges struct {
 	replPolicy        string
 	replStreamed      uint64
 	replStreamErrors  uint64
-	replDropped       uint64
 	replReplicaEvents uint64
 	replAdopted       uint64
 	replAliased       uint64
@@ -284,7 +283,6 @@ func (m *metrics) snapshot(g gauges) map[string]any {
 		metricReplPolicy:        g.replPolicy,
 		metricReplStreamed:      g.replStreamed,
 		metricReplStreamErrors:  g.replStreamErrors,
-		metricReplDropped:       g.replDropped,
 		metricReplReplicaEvents: g.replReplicaEvents,
 		metricReplAdopted:       g.replAdopted,
 		metricReplAliased:       g.replAliased,

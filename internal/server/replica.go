@@ -14,6 +14,7 @@ import (
 	"sync"
 	"time"
 
+	"thermalherd/internal/httpjson"
 	"thermalherd/internal/journal"
 )
 
@@ -128,24 +129,24 @@ func (rs *replicaStore) receivedEvents() uint64 {
 func (s *Server) handleReplicaAppend(w http.ResponseWriter, r *http.Request) {
 	origin := r.PathValue("origin")
 	if origin == "" {
-		writeError(w, http.StatusBadRequest, "missing replica origin")
+		httpjson.Error(w, http.StatusBadRequest, "missing replica origin")
 		return
 	}
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 16<<20))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "reading replica body: %v", err)
+		httpjson.Error(w, http.StatusBadRequest, "reading replica body: %v", err)
 		return
 	}
 	events, torn := journal.DecodeFrames(body)
 	if torn {
-		writeError(w, http.StatusBadRequest, "torn replica frame from %q", origin)
+		httpjson.Error(w, http.StatusBadRequest, "torn replica frame from %q", origin)
 		return
 	}
 	if err := s.replica.append(origin, events, body); err != nil {
-		writeError(w, http.StatusInternalServerError, "replica append: %v", err)
+		httpjson.Error(w, http.StatusInternalServerError, "replica append: %v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"accepted": len(events)})
+	httpjson.Write(w, http.StatusOK, map[string]any{"accepted": len(events)})
 }
 
 // handleReplicaAdopt replays origin's buffered replica records into the
@@ -156,15 +157,15 @@ func (s *Server) handleReplicaAppend(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleReplicaAdopt(w http.ResponseWriter, r *http.Request) {
 	origin := r.PathValue("origin")
 	if origin == "" {
-		writeError(w, http.StatusBadRequest, "missing replica origin")
+		httpjson.Error(w, http.StatusBadRequest, "missing replica origin")
 		return
 	}
 	if s.draining.Load() {
-		writeError(w, http.StatusServiceUnavailable, "server is draining; cannot adopt jobs")
+		httpjson.Error(w, http.StatusServiceUnavailable, "server is draining; cannot adopt jobs")
 		return
 	}
 	adopted, aliased, requeued := s.adoptOrigin(origin)
-	writeJSON(w, http.StatusOK, map[string]any{
+	httpjson.Write(w, http.StatusOK, map[string]any{
 		"origin":   origin,
 		"adopted":  adopted,
 		"aliased":  aliased,
@@ -349,11 +350,11 @@ func (s *Server) handleMigrate(w http.ResponseWriter, r *http.Request) {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad migrate payload: %v", err)
+		httpjson.Error(w, http.StatusBadRequest, "bad migrate payload: %v", err)
 		return
 	}
 	if req.TargetName == "" || req.TargetURL == "" {
-		writeError(w, http.StatusBadRequest, "migrate requires target_name and target_url")
+		httpjson.Error(w, http.StatusBadRequest, "migrate requires target_name and target_url")
 		return
 	}
 	s.mu.Lock()
@@ -380,7 +381,7 @@ func (s *Server) handleMigrate(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if len(marked) == 0 {
-		writeJSON(w, http.StatusOK, map[string]any{"migrated": 0, "target": req.TargetName})
+		httpjson.Write(w, http.StatusOK, map[string]any{"migrated": 0, "target": req.TargetName})
 		return
 	}
 	if err := shipMigration(req.TargetURL, s.cfg.NodeName, events); err != nil {
@@ -397,7 +398,7 @@ func (s *Server) handleMigrate(w http.ResponseWriter, r *http.Request) {
 				}
 			}
 		}
-		writeError(w, http.StatusBadGateway, "migration to %s failed: %v", req.TargetName, err)
+		httpjson.Error(w, http.StatusBadGateway, "migration to %s failed: %v", req.TargetName, err)
 		return
 	}
 	for _, j := range marked {
@@ -406,7 +407,7 @@ func (s *Server) handleMigrate(w http.ResponseWriter, r *http.Request) {
 		s.logEvent(journal.Event{Type: journal.EventMigrated, ID: j.id, MigratedTo: req.TargetName})
 		j.cancel() // terminal locally now that the handoff is confirmed
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"migrated": len(marked), "target": req.TargetName})
+	httpjson.Write(w, http.StatusOK, map[string]any{"migrated": len(marked), "target": req.TargetName})
 }
 
 // shipMigration POSTs the frozen jobs' acceptance records to the

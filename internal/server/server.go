@@ -36,7 +36,6 @@ import (
 	"fmt"
 	"net/http"
 	"runtime"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -46,6 +45,7 @@ import (
 	"thermalherd/internal/clock"
 	"thermalherd/internal/config"
 	"thermalherd/internal/faultinject"
+	"thermalherd/internal/httpjson"
 	"thermalherd/internal/journal"
 	"thermalherd/internal/qos"
 	"thermalherd/internal/replication"
@@ -680,7 +680,7 @@ func (s *Server) Metrics() map[string]any {
 	}
 	g.replPolicy = string(s.cfg.Repl.Policy())
 	rst := s.cfg.Repl.Stats()
-	g.replStreamed, g.replStreamErrors, g.replDropped = rst.Streamed, rst.StreamErrors, rst.Dropped
+	g.replStreamed, g.replStreamErrors = rst.Streamed, rst.StreamErrors
 	g.replReplicaEvents = s.replica.receivedEvents()
 	g.replAdopted = s.adoptedJobs.Load()
 	g.replAliased = s.aliasedJobs.Load()
@@ -689,64 +689,34 @@ func (s *Server) Metrics() map[string]any {
 
 // routes installs the HTTP endpoints.
 func (s *Server) routes() {
-	s.route("/v1/jobs", map[string]http.HandlerFunc{
+	httpjson.Route(s.mux, "/v1/jobs", map[string]http.HandlerFunc{
 		http.MethodPost: s.handleSubmit,
 		http.MethodGet:  s.handleList,
 	})
-	s.route("/v1/jobs:batch", map[string]http.HandlerFunc{
+	httpjson.Route(s.mux, "/v1/jobs:batch", map[string]http.HandlerFunc{
 		http.MethodPost: s.handleSubmitBatch,
 	})
-	s.route("/v1/jobs/{id}", map[string]http.HandlerFunc{
+	httpjson.Route(s.mux, "/v1/jobs/{id}", map[string]http.HandlerFunc{
 		http.MethodGet:    s.handleStatus,
 		http.MethodDelete: s.handleCancel,
 	})
-	s.route("/v1/jobs/{id}/result", map[string]http.HandlerFunc{
+	httpjson.Route(s.mux, "/v1/jobs/{id}/result", map[string]http.HandlerFunc{
 		http.MethodGet: s.handleResult,
 	})
-	s.route("/v1/replica/{origin}", map[string]http.HandlerFunc{
+	httpjson.Route(s.mux, "/v1/replica/{origin}", map[string]http.HandlerFunc{
 		http.MethodPost: s.handleReplicaAppend,
 	})
-	s.route("/v1/replica/{origin}/adopt", map[string]http.HandlerFunc{
+	httpjson.Route(s.mux, "/v1/replica/{origin}/adopt", map[string]http.HandlerFunc{
 		http.MethodPost: s.handleReplicaAdopt,
 	})
-	s.route("/v1/migrate", map[string]http.HandlerFunc{
+	httpjson.Route(s.mux, "/v1/migrate", map[string]http.HandlerFunc{
 		http.MethodPost: s.handleMigrate,
 	})
-	s.route("/v1/workloads", map[string]http.HandlerFunc{http.MethodGet: s.handleWorkloads})
-	s.route("/v1/configs", map[string]http.HandlerFunc{http.MethodGet: s.handleConfigs})
-	s.route("/healthz", map[string]http.HandlerFunc{http.MethodGet: s.handleHealthz})
-	s.route("/readyz", map[string]http.HandlerFunc{http.MethodGet: s.handleReadyz})
-	s.route("/metrics", map[string]http.HandlerFunc{http.MethodGet: s.handleMetrics})
-}
-
-// route registers each method's handler under "METHOD path" plus a
-// methodless catch-all so every other verb on a known path gets a
-// uniform JSON 405 carrying an Allow header (the Go 1.22 mux's own 405
-// is plain text, and per-handler checks had drifted apart).
-func (s *Server) route(path string, handlers map[string]http.HandlerFunc) {
-	methods := make([]string, 0, len(handlers)+1)
-	for m, h := range handlers {
-		s.mux.HandleFunc(m+" "+path, h)
-		methods = append(methods, m)
-		if m == http.MethodGet {
-			methods = append(methods, http.MethodHead) // the mux serves HEAD via GET
-		}
-	}
-	sort.Strings(methods)
-	allow := strings.Join(methods, ", ")
-	s.mux.HandleFunc(path, func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Allow", allow)
-		writeError(w, http.StatusMethodNotAllowed, "method %s not allowed on %s (allow: %s)", r.Method, path, allow)
-	})
-}
-
-// writeJSON writes v with the given HTTP status.
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	httpjson.Route(s.mux, "/v1/workloads", map[string]http.HandlerFunc{http.MethodGet: s.handleWorkloads})
+	httpjson.Route(s.mux, "/v1/configs", map[string]http.HandlerFunc{http.MethodGet: s.handleConfigs})
+	httpjson.Route(s.mux, "/healthz", map[string]http.HandlerFunc{http.MethodGet: s.handleHealthz})
+	httpjson.Route(s.mux, "/readyz", map[string]http.HandlerFunc{http.MethodGet: s.handleReadyz})
+	httpjson.Route(s.mux, "/metrics", map[string]http.HandlerFunc{http.MethodGet: s.handleMetrics})
 }
 
 // respond writes a job-API success document through the FaultRespond
@@ -754,19 +724,10 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 // turns the response into a 500.
 func (s *Server) respond(w http.ResponseWriter, status int, v any) {
 	if err := s.faults.Fire(FaultRespond); err != nil {
-		writeError(w, http.StatusInternalServerError, "%v", err)
+		httpjson.Error(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	writeJSON(w, status, v)
-}
-
-// errorDoc is the uniform error body.
-type errorDoc struct {
-	Error string `json:"error"`
-}
-
-func writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, errorDoc{Error: fmt.Sprintf(format, args...)})
+	httpjson.Write(w, status, v)
 }
 
 // brownoutError is admit's load-shedding rejection; the HTTP layer
@@ -964,20 +925,20 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		s.metrics.inc(&s.metrics.rejected)
 		s.metrics.tinc(tenantOrDefault(tenant), tcSubmitted)
 		s.metrics.tinc(tenantOrDefault(tenant), tcRejected)
-		writeError(w, http.StatusServiceUnavailable, "server is draining; not accepting jobs")
+		httpjson.Error(w, http.StatusServiceUnavailable, "server is draining; not accepting jobs")
 		return
 	}
 	var spec Spec
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, "bad job payload: %v", err)
+		httpjson.Error(w, http.StatusBadRequest, "bad job payload: %v", err)
 		return
 	}
 	st, code, dedup, err := s.admit(spec, r.Header.Get("Idempotency-Key"), tenant)
 	if err != nil {
 		setRetryAfter(w, err)
-		writeError(w, code, "%v", err)
+		httpjson.Error(w, code, "%v", err)
 		return
 	}
 	if dedup {
@@ -991,7 +952,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.lookup(r.PathValue("id"))
 	if !ok {
-		writeError(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
+		httpjson.Error(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
 		return
 	}
 	s.respond(w, http.StatusOK, j.status())
@@ -1000,32 +961,32 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.lookup(r.PathValue("id"))
 	if !ok {
-		writeError(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
+		httpjson.Error(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
 		return
 	}
 	state, result, errMsg := j.snapshotResult()
 	switch state {
 	case StateDone:
 		if err := s.faults.Fire(FaultRespond); err != nil {
-			writeError(w, http.StatusInternalServerError, "%v", err)
+			httpjson.Error(w, http.StatusInternalServerError, "%v", err)
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(http.StatusOK)
 		w.Write(result)
 	case StateFailed:
-		writeError(w, http.StatusInternalServerError, "job failed: %s", errMsg)
+		httpjson.Error(w, http.StatusInternalServerError, "job failed: %s", errMsg)
 	case StateCanceled:
-		writeError(w, http.StatusConflict, "job was canceled: %s", errMsg)
+		httpjson.Error(w, http.StatusConflict, "job was canceled: %s", errMsg)
 	default:
-		writeJSON(w, http.StatusConflict, j.status())
+		httpjson.Write(w, http.StatusConflict, j.status())
 	}
 }
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.lookup(r.PathValue("id"))
 	if !ok {
-		writeError(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
+		httpjson.Error(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
 		return
 	}
 	if j.cancelQueued("canceled by client") {
@@ -1033,7 +994,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		s.metrics.inc(&s.metrics.canceled)
 		s.metrics.tinc(j.tenant, tcCanceled)
 		s.logEvent(journal.Event{Type: journal.EventCanceled, ID: j.id, Error: "canceled by client"})
-		writeJSON(w, http.StatusOK, j.status())
+		httpjson.Write(w, http.StatusOK, j.status())
 		return
 	}
 	st := j.status()
@@ -1042,9 +1003,9 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		// The worker settles the state (and metrics) once the runner
 		// observes the canceled context.
 		j.cancel()
-		writeJSON(w, http.StatusOK, st)
+		httpjson.Write(w, http.StatusOK, st)
 	default:
-		writeError(w, http.StatusConflict, "job %s is already %s", st.ID, st.State)
+		httpjson.Error(w, http.StatusConflict, "job %s is already %s", st.ID, st.State)
 	}
 }
 
@@ -1061,7 +1022,7 @@ func (s *Server) handleWorkloads(w http.ResponseWriter, r *http.Request) {
 	for i, p := range suite {
 		out[i] = workloadInfo{Name: p.Name, Group: p.Group.String(), WorkingSet: p.WorkingSet}
 	}
-	writeJSON(w, http.StatusOK, out)
+	httpjson.Write(w, http.StatusOK, out)
 }
 
 // configInfo is one GET /v1/configs entry.
@@ -1078,7 +1039,7 @@ func (s *Server) handleConfigs(w http.ResponseWriter, r *http.Request) {
 	for i, m := range regs {
 		out[i] = configInfo{Name: m.Name, ClockGHz: m.ClockGHz, ThreeD: m.ThreeD, ThermalHerding: m.ThermalHerding}
 	}
-	writeJSON(w, http.StatusOK, out)
+	httpjson.Write(w, http.StatusOK, out)
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -1086,7 +1047,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		status = "draining"
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	httpjson.Write(w, http.StatusOK, map[string]any{
 		"status":  status,
 		"workers": s.cfg.Workers,
 	})
@@ -1124,7 +1085,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		for k, v := range extra {
 			doc[k] = v
 		}
-		writeJSON(w, http.StatusServiceUnavailable, doc)
+		httpjson.Write(w, http.StatusServiceUnavailable, doc)
 	}
 	if s.recovering.Load() {
 		notReady("recovering", nil)
@@ -1139,12 +1100,12 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		notReady("brownout", map[string]any{"retry_after_sec": retryAfter})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	httpjson.Write(w, http.StatusOK, map[string]any{
 		"ready": true,
 		"since": s.sinceReason("").Format(time.RFC3339Nano),
 	})
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.Metrics())
+	httpjson.Write(w, http.StatusOK, s.Metrics())
 }
