@@ -305,20 +305,61 @@ func BenchmarkThermalTransient(b *testing.B) {
 	}
 }
 
-// BenchmarkThermalSolver measures raw steady-state solver speed.
+// BenchmarkThermalSolver measures raw steady-state solver speed on the
+// planar and the 4-die stack at the harness grid, with a non-uniform
+// power map (every unit a different density), and reports the solver's
+// iteration count.
 func BenchmarkThermalSolver(b *testing.B) {
-	fp := floorplan.Stacked()
-	var area float64
-	for _, u := range fp.Units {
-		area += u.Area()
+	for _, c := range []struct {
+		name  string
+		fp    *floorplan.Floorplan
+		build func(*floorplan.Floorplan, thermal.PowerFor, int, int) (*thermal.Stack, error)
+	}{
+		{"planar", floorplan.Planar(), thermal.BuildPlanar},
+		{"stacked", floorplan.Stacked(), thermal.BuildStacked},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			var area float64
+			for _, u := range c.fp.Units {
+				area += u.Area()
+			}
+			// Densities vary from 0.5x to 1.5x the mean with the unit's
+			// position in the floorplan.
+			density := map[floorplan.Unit]float64{}
+			for i, u := range c.fp.Units {
+				density[u] = 0.5 + float64(i*7%len(c.fp.Units))/float64(len(c.fp.Units))
+			}
+			watts := func(u floorplan.Unit) float64 { return 60 * density[u] * u.Area() / area }
+			stack, err := c.build(c.fp, watts, thermal.DefaultGrid, thermal.DefaultGrid)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			var iters int
+			for i := 0; i < b.N; i++ {
+				sol, err := stack.Solve()
+				if err != nil {
+					b.Fatal(err)
+				}
+				iters = sol.Iterations
+			}
+			b.ReportMetric(float64(iters), "iters")
+		})
 	}
-	watts := func(u floorplan.Unit) float64 { return 60 * u.Area() / area }
+}
+
+// BenchmarkCoreNew measures building one 3D-configuration core: the
+// fixed cost every simulation job pays before its first instruction.
+func BenchmarkCoreNew(b *testing.B) {
+	prof, err := trace.ProfileByName("gzip")
+	if err != nil {
+		b.Fatal(err)
+	}
+	src := trace.NewGenerator(prof) // New reads nothing from it
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		stack, err := thermal.BuildStacked(fp, watts, 32, 32)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := stack.Solve(); err != nil {
+		if _, err := cpu.New(config.ThreeD(), src); err != nil {
 			b.Fatal(err)
 		}
 	}

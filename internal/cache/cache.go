@@ -24,7 +24,9 @@ type Config struct {
 // simulator carries data values in the instruction stream), which is
 // sufficient for timing and activity modelling.
 type Cache struct {
-	cfg     Config
+	cfg Config
+	// sets[i] stays nil until set i first misses: a short simulation
+	// touches a small fraction of a 4 MB L2's sets.
 	sets    [][]line
 	setMask uint64
 	lineLg  uint
@@ -56,9 +58,6 @@ func New(cfg Config) *Cache {
 		panic(fmt.Sprintf("cache %s: set count %d must be a positive power of two", cfg.Name, nsets))
 	}
 	c := &Cache{cfg: cfg, sets: make([][]line, nsets), setMask: uint64(nsets - 1)}
-	for i := range c.sets {
-		c.sets[i] = make([]line, cfg.Ways)
-	}
 	for l := cfg.LineSize; l > 1; l >>= 1 {
 		c.lineLg++
 	}
@@ -99,6 +98,10 @@ func (c *Cache) Access(addr uint64, write bool) (hit, writeback bool) {
 		}
 	}
 	c.misses++
+	if lines == nil {
+		lines = make([]line, c.cfg.Ways)
+		c.sets[set] = lines
+	}
 	// Allocate: choose invalid first, else LRU.
 	victim := 0
 	var oldest uint64 = ^uint64(0)
@@ -121,7 +124,8 @@ func (c *Cache) Access(addr uint64, write bool) (hit, writeback bool) {
 	return false, writeback
 }
 
-// Probe reports whether addr is resident without updating state.
+// Probe reports whether addr is resident without updating state. A set
+// that has never missed holds nothing.
 func (c *Cache) Probe(addr uint64) bool {
 	set, tag := c.index(addr)
 	for w := range c.sets[set] {

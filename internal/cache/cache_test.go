@@ -182,3 +182,44 @@ func TestLevelStrings(t *testing.T) {
 		t.Error("level names wrong")
 	}
 }
+
+// TestLazySetsMatchEagerCache replays one random trace through a cache
+// whose sets are allocated on first miss and through one with every set
+// built up front: every access and probe must agree.
+func TestLazySetsMatchEagerCache(t *testing.T) {
+	cfg := Config{Name: "l2", Size: 64 << 10, Ways: 4, LineSize: 64}
+	lazy := New(cfg)
+	eager := New(cfg)
+	for i := range eager.sets {
+		eager.sets[i] = make([]line, cfg.Ways)
+	}
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 200_000; i++ {
+		// A 1 MB footprint over a 64 KB cache: plenty of evictions.
+		addr := uint64(rng.Intn(1 << 20))
+		write := rng.Intn(3) == 0
+		if lazy.Probe(addr) != eager.Probe(addr) {
+			t.Fatalf("access %d: probe of %#x disagrees", i, addr)
+		}
+		lh, lw := lazy.Access(addr, write)
+		eh, ew := eager.Access(addr, write)
+		if lh != eh || lw != ew {
+			t.Fatalf("access %d to %#x: lazy (hit %v, writeback %v), eager (hit %v, writeback %v)",
+				i, addr, lh, lw, eh, ew)
+		}
+	}
+	la, lm, lwb := lazy.Stats()
+	ea, em, ewb := eager.Stats()
+	if la != ea || lm != em || lwb != ewb {
+		t.Errorf("stats lazy (%d, %d, %d), eager (%d, %d, %d)", la, lm, lwb, ea, em, ewb)
+	}
+}
+
+// TestNewAllocatesNoSets checks that building even a 4 MB cache costs a
+// constant number of allocations, not one per set.
+func TestNewAllocatesNoSets(t *testing.T) {
+	cfg := Config{Name: "l2", Size: 4 << 20, Ways: 16, LineSize: 64}
+	if n := testing.AllocsPerRun(10, func() { New(cfg) }); n > 2 {
+		t.Errorf("New made %v allocations, want at most 2", n)
+	}
+}

@@ -140,7 +140,7 @@ type thermalResult struct {
 	PeakK      float64 `json:"peak_k"`
 	Hotspot    string  `json:"hotspot,omitempty"`
 	HotspotK   float64 `json:"hotspot_k,omitempty"`
-	Iterations int     `json:"solver_iterations"`
+	Iterations int     `json:"solver_iterations"` // conjugate-gradient iterations of the steady-state solve
 }
 
 func runThermal(r *experiments.Runner, spec Spec, report progressFunc, total int) (json.RawMessage, error) {

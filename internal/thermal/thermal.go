@@ -1,7 +1,8 @@
 // Package thermal is a steady-state compact thermal model standing in
 // for the HotSpot 3.0.2 simulations of the paper's Section 4: a
 // finite-difference RC network over a layered die stack, solved with
-// successive over-relaxation.
+// conjugate gradients preconditioned by exact solves of each vertical
+// column of cells plus a coarse block correction.
 //
 // The modelled stack, from the heat sink downward, matches the paper's
 // assumptions: a copper heat spreader, a phase-change metallic-alloy
@@ -13,10 +14,7 @@
 // worst-case assumption for a 3D stack.
 package thermal
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Material and boundary constants.
 const (
@@ -118,106 +116,27 @@ type Solution struct {
 	Stack *Stack
 	// T[l][y*Nx+x] is the temperature of cell (x, y) in layer l.
 	T [][]float64
-	// Iterations the solver used.
+	// Iterations is the number of conjugate-gradient iterations the
+	// solve took.
 	Iterations int
 }
 
-// Solve computes the steady-state temperature field by SOR iteration.
+// Solve computes the steady-state temperature field with
+// preconditioned conjugate gradients (see system.solve).
 func (s *Stack) Solve() (*Solution, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	nx, ny, nl := s.Nx, s.Ny, len(s.Layers)
-	n := nx * ny
-	cellArea := s.CellW * s.CellH
-
-	// Conductances.
-	gx := make([]float64, nl) // lateral, x direction
-	gy := make([]float64, nl)
+	sys := newSystem(s, nil)
 	for l, layer := range s.Layers {
-		gx[l] = layer.K * layer.Thickness * s.CellH / s.CellW
-		gy[l] = layer.K * layer.Thickness * s.CellW / s.CellH
+		copy(sys.r[l*sys.n:], layer.Power)
 	}
-	gz := make([]float64, nl-1) // vertical between layer l and l+1
-	for l := 0; l < nl-1; l++ {
-		r := s.Layers[l].Thickness/(2*s.Layers[l].K) + s.Layers[l+1].Thickness/(2*s.Layers[l+1].K)
-		gz[l] = cellArea / r
+	rise := make([]float64, sys.nl*sys.n)
+	iters, err := sys.solve(rise)
+	if err != nil {
+		return nil, err
 	}
-	// Sink: distributed over the top layer's cells, in series with half
-	// the top layer's vertical resistance.
-	rSinkCell := s.SinkR*float64(n) + s.Layers[0].Thickness/(2*s.Layers[0].K*cellArea)
-	gSink := 1 / rSinkCell
-
-	T := make([][]float64, nl)
-	for l := range T {
-		T[l] = make([]float64, n)
-		for i := range T[l] {
-			T[l][i] = s.Ambient + 20
-		}
-	}
-
-	const (
-		omega    = 1.85
-		tol      = 1e-5
-		maxIters = 200000
-	)
-	var iters int
-	for iters = 0; iters < maxIters; iters++ {
-		var maxDelta float64
-		for l := 0; l < nl; l++ {
-			layer := &s.Layers[l]
-			for y := 0; y < ny; y++ {
-				for x := 0; x < nx; x++ {
-					i := y*nx + x
-					var gSum, flux float64
-					if x > 0 {
-						gSum += gx[l]
-						flux += gx[l] * T[l][i-1]
-					}
-					if x < nx-1 {
-						gSum += gx[l]
-						flux += gx[l] * T[l][i+1]
-					}
-					if y > 0 {
-						gSum += gy[l]
-						flux += gy[l] * T[l][i-nx]
-					}
-					if y < ny-1 {
-						gSum += gy[l]
-						flux += gy[l] * T[l][i+nx]
-					}
-					if l > 0 {
-						gSum += gz[l-1]
-						flux += gz[l-1] * T[l-1][i]
-					}
-					if l < nl-1 {
-						gSum += gz[l]
-						flux += gz[l] * T[l+1][i]
-					}
-					if l == 0 {
-						gSum += gSink
-						flux += gSink * s.Ambient
-					}
-					if layer.Power != nil {
-						flux += layer.Power[i]
-					}
-					tNew := flux / gSum
-					delta := tNew - T[l][i]
-					T[l][i] += omega * delta
-					if d := math.Abs(delta); d > maxDelta {
-						maxDelta = d
-					}
-				}
-			}
-		}
-		if maxDelta < tol {
-			break
-		}
-	}
-	if iters == maxIters {
-		return nil, fmt.Errorf("thermal: SOR did not converge in %d iterations", maxIters)
-	}
-	return &Solution{Stack: s, T: T, Iterations: iters}, nil
+	return &Solution{Stack: s, T: sys.temperatures(rise, s.Ambient), Iterations: iters}, nil
 }
 
 // Peak returns the maximum temperature anywhere in the stack and its

@@ -1,7 +1,9 @@
 package thermal
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -35,27 +37,94 @@ func TestSingleCellAnalytic(t *testing.T) {
 	}
 }
 
+// randomWatts gives every unit a random power density, so the map is
+// far from uniform, scaled to total watts.
+func randomWatts(fp *floorplan.Floorplan, total float64, seed int64) PowerFor {
+	rng := rand.New(rand.NewSource(seed))
+	density := make(map[floorplan.Unit]float64, len(fp.Units))
+	var sum float64
+	for _, u := range fp.Units {
+		density[u] = 0.1 + rng.Float64()
+		sum += density[u] * u.Area()
+	}
+	return func(u floorplan.Unit) float64 { return total * density[u] * u.Area() / sum }
+}
+
+// buildRandom builds the planar or stacked stack at grid g with a
+// random power map.
+func buildRandom(t testing.TB, stacked bool, g int) *Stack {
+	t.Helper()
+	fp, build := floorplan.Planar(), BuildPlanar
+	if stacked {
+		fp, build = floorplan.Stacked(), BuildStacked
+	}
+	s, err := build(fp, randomWatts(fp, 90, int64(g)), g, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 func TestEnergyConservation(t *testing.T) {
-	fp := floorplan.Planar()
-	s, err := BuildPlanar(fp, uniformWatts(fp, 90), 16, 16)
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		stacked bool
+		grid    int
+	}{{false, 16}, {true, 32}} {
+		s := buildRandom(t, tc.stacked, tc.grid)
+		sol, err := s.Solve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		// All heat must exit through the sink: sum over top-layer cells
+		// of gSink*(T - ambient) == total power.
+		n := s.Nx * s.Ny
+		cellArea := s.CellW * s.CellH
+		rSinkCell := s.SinkR*float64(n) + s.Layers[0].Thickness/(2*s.Layers[0].K*cellArea)
+		var out float64
+		for _, temp := range sol.T[0] {
+			out += (temp - s.Ambient) / rSinkCell
+		}
+		if rel := math.Abs(out-90) / 90; rel > 1e-7 {
+			t.Errorf("stacked=%v grid %d: heat out of sink = %.9f W, want 90 (relative error %.2g)",
+				tc.stacked, tc.grid, out, rel)
+		}
 	}
-	sol, err := s.Solve()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// All heat must exit through the sink: sum over top-layer cells of
-	// gSink*(T - ambient) == total power.
-	n := s.Nx * s.Ny
-	cellArea := s.CellW * s.CellH
-	rSinkCell := s.SinkR*float64(n) + s.Layers[0].Thickness/(2*s.Layers[0].K*cellArea)
-	var out float64
-	for _, temp := range sol.T[0] {
-		out += (temp - s.Ambient) / rSinkCell
-	}
-	if math.Abs(out-90) > 0.5 {
-		t.Errorf("heat out of sink = %.3f W, want 90 (conservation)", out)
+}
+
+// TestSolveMatchesSOR checks the conjugate-gradient solve against the
+// point-SOR reference within the tolerance perfbench's golden check
+// grants an SOR result: 10·tol·ρ/(1−ρ), ρ being the per-sweep
+// contraction that shrinks SOR's 20 K start offset to its 1e-5 K
+// tolerance in the sweeps it took.
+func TestSolveMatchesSOR(t *testing.T) {
+	for _, stacked := range []bool{false, true} {
+		for _, g := range []int{8, 16, 32} {
+			t.Run(fmt.Sprintf("stacked=%v/grid%d", stacked, g), func(t *testing.T) {
+				s := buildRandom(t, stacked, g)
+				ref, err := sorSolve(s)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sol, err := s.Solve()
+				if err != nil {
+					t.Fatal(err)
+				}
+				rho := math.Pow(1e-5/20, 1/float64(max(ref.Iterations, 1)))
+				tol := 10 * 1e-5 * rho / (1 - rho)
+				var worst float64
+				for l := range sol.T {
+					for i := range sol.T[l] {
+						worst = math.Max(worst, math.Abs(sol.T[l][i]-ref.T[l][i]))
+					}
+				}
+				if worst > tol {
+					t.Errorf("max |CG − SOR| = %.3g K, tolerance %.3g K", worst, tol)
+				}
+				if sol.Iterations >= ref.Iterations {
+					t.Errorf("CG took %d iterations, SOR %d sweeps", sol.Iterations, ref.Iterations)
+				}
+			})
+		}
 	}
 }
 
@@ -267,4 +336,105 @@ func TestPeakOfUnit(t *testing.T) {
 	if PeakOfUnit(sol, fp, hot) <= PeakOfUnit(sol, fp, cold) {
 		t.Error("powered unit not hotter than idle distant unit")
 	}
+}
+
+// sorSolve is the point successive over-relaxation solver Stack.Solve
+// used before conjugate gradients, kept as an independent reference:
+// it starts every cell 20 K above ambient and sweeps with ω = 1.85
+// until no cell moves by 1e-5 K.
+func sorSolve(s *Stack) (*Solution, error) {
+	if err := s.Validate(); err != nil {
+		return nil, err
+	}
+	nx, ny, nl := s.Nx, s.Ny, len(s.Layers)
+	n := nx * ny
+	cellArea := s.CellW * s.CellH
+
+	// Conductances.
+	gx := make([]float64, nl) // lateral, x direction
+	gy := make([]float64, nl)
+	for l, layer := range s.Layers {
+		gx[l] = layer.K * layer.Thickness * s.CellH / s.CellW
+		gy[l] = layer.K * layer.Thickness * s.CellW / s.CellH
+	}
+	gz := make([]float64, nl-1) // vertical between layer l and l+1
+	for l := 0; l < nl-1; l++ {
+		r := s.Layers[l].Thickness/(2*s.Layers[l].K) + s.Layers[l+1].Thickness/(2*s.Layers[l+1].K)
+		gz[l] = cellArea / r
+	}
+	// Sink: distributed over the top layer's cells, in series with half
+	// the top layer's vertical resistance.
+	rSinkCell := s.SinkR*float64(n) + s.Layers[0].Thickness/(2*s.Layers[0].K*cellArea)
+	gSink := 1 / rSinkCell
+
+	T := make([][]float64, nl)
+	for l := range T {
+		T[l] = make([]float64, n)
+		for i := range T[l] {
+			T[l][i] = s.Ambient + 20
+		}
+	}
+
+	const (
+		omega    = 1.85
+		tol      = 1e-5
+		maxIters = 200000
+	)
+	var iters int
+	for iters = 0; iters < maxIters; iters++ {
+		var maxDelta float64
+		for l := 0; l < nl; l++ {
+			layer := &s.Layers[l]
+			for y := 0; y < ny; y++ {
+				for x := 0; x < nx; x++ {
+					i := y*nx + x
+					var gSum, flux float64
+					if x > 0 {
+						gSum += gx[l]
+						flux += gx[l] * T[l][i-1]
+					}
+					if x < nx-1 {
+						gSum += gx[l]
+						flux += gx[l] * T[l][i+1]
+					}
+					if y > 0 {
+						gSum += gy[l]
+						flux += gy[l] * T[l][i-nx]
+					}
+					if y < ny-1 {
+						gSum += gy[l]
+						flux += gy[l] * T[l][i+nx]
+					}
+					if l > 0 {
+						gSum += gz[l-1]
+						flux += gz[l-1] * T[l-1][i]
+					}
+					if l < nl-1 {
+						gSum += gz[l]
+						flux += gz[l] * T[l+1][i]
+					}
+					if l == 0 {
+						gSum += gSink
+						flux += gSink * s.Ambient
+					}
+					if layer.Power != nil {
+						flux += layer.Power[i]
+					}
+					tNew := flux / gSum
+					delta := tNew - T[l][i]
+					T[l][i] += omega * delta
+					if d := math.Abs(delta); d > maxDelta {
+						maxDelta = d
+					}
+				}
+			}
+		}
+		if maxDelta < tol {
+			break
+		}
+	}
+	if iters == maxIters {
+		return nil, fmt.Errorf("thermal: SOR did not converge in %d iterations", maxIters)
+	}
+	return &Solution{Stack: s, T: T, Iterations: iters}, nil
 }

@@ -54,117 +54,49 @@ func (s *Stack) SolveTransient(duration, dt float64, sampleEvery int) (*Transien
 	if sampleEvery <= 0 {
 		sampleEvery = 1
 	}
-	nx, ny, nl := s.Nx, s.Ny, len(s.Layers)
-	n := nx * ny
 	cellArea := s.CellW * s.CellH
-
-	gx := make([]float64, nl)
-	gy := make([]float64, nl)
-	cap := make([]float64, nl) // thermal capacitance per cell
+	shift := make([]float64, len(s.Layers)) // C/dt per cell of each layer
 	for l := range s.Layers {
 		layer := &s.Layers[l]
-		gx[l] = layer.K * layer.Thickness * s.CellH / s.CellW
-		gy[l] = layer.K * layer.Thickness * s.CellW / s.CellH
-		cap[l] = heatCapacityFor(layer) * layer.Thickness * cellArea
+		shift[l] = heatCapacityFor(layer) * layer.Thickness * cellArea / dt
 	}
-	gz := make([]float64, nl-1)
-	for l := 0; l < nl-1; l++ {
-		r := s.Layers[l].Thickness/(2*s.Layers[l].K) + s.Layers[l+1].Thickness/(2*s.Layers[l+1].K)
-		gz[l] = cellArea / r
-	}
-	rSinkCell := s.SinkR*float64(n) + s.Layers[0].Thickness/(2*s.Layers[0].K*cellArea)
-	gSink := 1 / rSinkCell
-
-	T := make([][]float64, nl)
-	for l := range T {
-		T[l] = make([]float64, n)
-		for i := range T[l] {
-			T[l][i] = s.Ambient
-		}
-	}
+	sys := newSystem(s, shift)
+	rise := make([]float64, sys.nl*sys.n) // uniform ambient start
 
 	steps := int(duration/dt + 0.5)
 	res := &TransientResult{}
 	record := func(t float64) {
-		peak := -1.0
-		for l := range T {
-			for _, v := range T[l] {
-				if v > peak {
-					peak = v
-				}
-			}
+		peak := math.Inf(-1)
+		for _, v := range rise {
+			peak = math.Max(peak, v)
 		}
 		res.TimesS = append(res.TimesS, t)
-		res.PeakK = append(res.PeakK, peak)
+		res.PeakK = append(res.PeakK, s.Ambient+peak)
 	}
 	record(0)
 
-	// Backward Euler: at each step solve (C/dt + ΣG) T' = C/dt·T + Σ G·T'_nbr + P
-	// by SOR, warm-started from the previous step.
-	const omega = 1.6
+	// Backward Euler: each step solves (K + C/dt)·u' = P + C/dt·u with
+	// the steady-state solver's conjugate gradients, warm-started from
+	// the previous step's field.
 	for step := 1; step <= steps; step++ {
-		prev := make([][]float64, nl)
-		for l := range T {
-			prev[l] = append([]float64(nil), T[l]...)
+		for l, layer := range s.Layers {
+			bl := sys.r[l*sys.n : (l+1)*sys.n]
+			ul := rise[l*sys.n : (l+1)*sys.n]
+			for i := range bl {
+				bl[i] = shift[l] * ul[i]
+			}
+			for i, w := range layer.Power {
+				bl[i] += w
+			}
 		}
-		for iter := 0; iter < 400; iter++ {
-			var maxDelta float64
-			for l := 0; l < nl; l++ {
-				layer := &s.Layers[l]
-				selfG := cap[l] / dt
-				for y := 0; y < ny; y++ {
-					for x := 0; x < nx; x++ {
-						i := y*nx + x
-						gSum := selfG
-						flux := selfG * prev[l][i]
-						if x > 0 {
-							gSum += gx[l]
-							flux += gx[l] * T[l][i-1]
-						}
-						if x < nx-1 {
-							gSum += gx[l]
-							flux += gx[l] * T[l][i+1]
-						}
-						if y > 0 {
-							gSum += gy[l]
-							flux += gy[l] * T[l][i-nx]
-						}
-						if y < ny-1 {
-							gSum += gy[l]
-							flux += gy[l] * T[l][i+nx]
-						}
-						if l > 0 {
-							gSum += gz[l-1]
-							flux += gz[l-1] * T[l-1][i]
-						}
-						if l < nl-1 {
-							gSum += gz[l]
-							flux += gz[l] * T[l+1][i]
-						}
-						if l == 0 {
-							gSum += gSink
-							flux += gSink * s.Ambient
-						}
-						if layer.Power != nil {
-							flux += layer.Power[i]
-						}
-						delta := flux/gSum - T[l][i]
-						T[l][i] += omega * delta
-						if d := math.Abs(delta); d > maxDelta {
-							maxDelta = d
-						}
-					}
-				}
-			}
-			if maxDelta < 1e-5 {
-				break
-			}
+		if _, err := sys.solve(rise); err != nil {
+			return nil, fmt.Errorf("transient step %d: %w", step, err)
 		}
 		if step%sampleEvery == 0 || step == steps {
 			record(float64(step) * dt)
 		}
 	}
-	res.Final = &Solution{Stack: s, T: T}
+	res.Final = &Solution{Stack: s, T: sys.temperatures(rise, s.Ambient)}
 	return res, nil
 }
 
