@@ -6,14 +6,11 @@
 //	go run ./cmd/thermlint -run determinism ./internal/loadgen
 //	go run ./cmd/thermlint -fix ./...            # apply suggested fixes
 //	go run ./cmd/thermlint -format sarif -out thermlint.sarif ./...
-//	go run ./cmd/thermlint -cache-dir .thermlint-cache -stats ./...
 //
 // Diagnostics print one per line as file:line:col: analyzer: message
 // (-format json|sarif renders machine-readable reports instead; -out
 // writes the report to a file while keeping findings on stdout's exit
-// contract). The analysis cache makes warm runs cheap: point -cache-dir
-// (or THERMLINT_CACHE) at a directory and unchanged packages replay
-// their cached diagnostics and facts without being type-checked.
+// contract).
 //
 // Exit status: 0 clean, 1 diagnostics reported, 2 load/usage error —
 // the same contract as go vet, so CI can gate on it directly.
@@ -34,11 +31,8 @@ func main() {
 	fix := flag.Bool("fix", false, "apply suggested fixes to the source, then re-run")
 	format := flag.String("format", "text", "report format: text, json, or sarif")
 	out := flag.String("out", "", "write the formatted report to this file (default stdout)")
-	cacheDir := flag.String("cache-dir", os.Getenv("THERMLINT_CACHE"), "analysis cache directory (default $THERMLINT_CACHE; empty disables)")
-	noCache := flag.Bool("no-cache", false, "disable the analysis cache even when -cache-dir is set")
-	stats := flag.Bool("stats", false, "print per-run cache statistics to stderr")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: thermlint [-list] [-run analyzers] [-fix] [-format text|json|sarif] [-out file] [-cache-dir dir] [-no-cache] [-stats] [packages]\n")
+		fmt.Fprintf(os.Stderr, "usage: thermlint [-list] [-run analyzers] [-fix] [-format text|json|sarif] [-out file] [packages]\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -66,11 +60,7 @@ func main() {
 			analyzers = append(analyzers, a)
 		}
 	}
-	if *noCache {
-		*cacheDir = ""
-	}
-
-	cfg := analysis.RunConfig{Patterns: flag.Args(), Analyzers: analyzers, CacheDir: *cacheDir}
+	cfg := analysis.RunConfig{Patterns: flag.Args(), Analyzers: analyzers}
 	res, err := analysis.Run(cfg)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "thermlint: %v\n", err)
@@ -83,15 +73,11 @@ func main() {
 			os.Exit(2)
 		}
 		fmt.Fprintf(os.Stderr, "thermlint: applied fixes for %d finding(s)\n", applied)
-		// Fixed packages have new content hashes, so the re-run below
-		// re-analyzes exactly them; surviving findings report normally.
+		// Re-analyze the fixed sources; surviving findings report normally.
 		if res, err = analysis.Run(cfg); err != nil {
 			fmt.Fprintf(os.Stderr, "thermlint: %v\n", err)
 			os.Exit(2)
 		}
-	}
-	if *stats {
-		fmt.Fprintf(os.Stderr, "thermlint: %d/%d package(s) from cache\n", res.Hits(), len(res.Pkgs))
 	}
 
 	diags := res.Diags

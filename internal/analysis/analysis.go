@@ -37,9 +37,7 @@
 // Since v2 the engine is whole-program: packages load dependency-first
 // over `go list -json -deps`, analyzers export typed Facts about
 // package-level functions that importing packages consume (see
-// facts.go), and results are memoized in an on-disk cache keyed on
-// package content hashes (see cache.go). Run the suite with
-// `go run ./cmd/thermlint ./...`.
+// facts.go). Run the suite with `go run ./cmd/thermlint ./...`.
 package analysis
 
 import (

@@ -1,7 +1,5 @@
 package analysis
 
-import "fmt"
-
 // RunConfig configures a whole-program analysis run.
 type RunConfig struct {
 	// Dir is where `go list` runs; "" means the current directory.
@@ -10,14 +8,6 @@ type RunConfig struct {
 	Patterns []string
 	// Analyzers to apply; default All().
 	Analyzers []*Analyzer
-	// CacheDir enables the on-disk analysis cache when non-empty.
-	CacheDir string
-}
-
-// PkgStat records how one package was resolved during a run.
-type PkgStat struct {
-	PkgPath string
-	Cached  bool
 }
 
 // RunResult is the outcome of a whole-program run.
@@ -25,32 +15,17 @@ type RunResult struct {
 	// Diags holds every diagnostic from packages matching the
 	// requested patterns, sorted by position.
 	Diags []Diagnostic
-	// Pkgs lists every analyzed module package (dependencies
-	// included) in dependency order, with cache-hit status.
-	Pkgs []PkgStat
-}
-
-// Hits returns how many packages were served from the cache.
-func (r *RunResult) Hits() int {
-	n := 0
-	for _, p := range r.Pkgs {
-		if p.Cached {
-			n++
-		}
-	}
-	return n
 }
 
 // Run is the thermlint engine: it enumerates module packages
-// dependency-first, analyzes each (or replays its cached result),
-// threads exported facts from dependencies to importers, and returns
-// the diagnostics for the packages matching the requested patterns.
+// dependency-first, analyzes each, threads exported facts from
+// dependencies to importers, and returns the diagnostics for the
+// packages matching the requested patterns.
 //
 // Every module package reachable from the patterns is analyzed — facts
 // flow from dependencies even when only their importers were asked
 // for — but only packages matching the patterns contribute
-// diagnostics. On a full cache hit no package is even type-checked,
-// which is where the warm-lint speedup comes from.
+// diagnostics.
 func Run(cfg RunConfig) (*RunResult, error) {
 	analyzers := cfg.Analyzers
 	if len(analyzers) == 0 {
@@ -61,29 +36,9 @@ func Run(cfg RunConfig) (*RunResult, error) {
 		return nil, err
 	}
 
-	var cache *analysisCache
-	var ids map[string]string
-	if cfg.CacheDir != "" {
-		if cache, err = openCache(cfg.CacheDir); err != nil {
-			return nil, err
-		}
-		if ids, err = actionIDs(l, analyzers); err != nil {
-			return nil, err
-		}
-	}
-
 	facts := newFactStore()
 	res := &RunResult{}
 	for _, path := range l.order {
-		lp := l.listed[path]
-		if entry, ok := cache.get(ids[path]); ok && entry.PkgPath == path {
-			facts.replay(entry.Facts)
-			if !lp.DepOnly {
-				res.Diags = append(res.Diags, entry.Diags...)
-			}
-			res.Pkgs = append(res.Pkgs, PkgStat{PkgPath: path, Cached: true})
-			continue
-		}
 		pkg, err := l.pkg(path)
 		if err != nil {
 			return nil, err
@@ -92,16 +47,9 @@ func Run(cfg RunConfig) (*RunResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		if cache != nil {
-			entry := &cacheEntry{PkgPath: path, Diags: diags, Facts: facts.factsForPackage(path)}
-			if err := cache.put(ids[path], entry); err != nil {
-				return nil, fmt.Errorf("write cache entry for %s: %w", path, err)
-			}
-		}
-		if !lp.DepOnly {
+		if !l.listed[path].DepOnly {
 			res.Diags = append(res.Diags, diags...)
 		}
-		res.Pkgs = append(res.Pkgs, PkgStat{PkgPath: path})
 	}
 	sortDiagnostics(res.Diags)
 	return res, nil

@@ -5,24 +5,22 @@ import (
 	"fmt"
 	"go/types"
 	"reflect"
-	"sort"
 )
 
 // Fact is a typed claim an analyzer exports about a package-level
 // function or method — "this function observes shutdown", "this call
 // settles a counter" — for importing packages to consume. Fact types
 // must be JSON-round-trippable structs: the store keeps every fact as
-// its JSON encoding, so the in-memory path and the on-disk cache path
-// behave identically.
+// its JSON encoding, so an importer decodes its own copy and can never
+// mutate the exporter's.
 type Fact interface{ AFact() }
 
 // factKey identifies one fact: the object it describes and the fact's
 // concrete type. Objects are keyed by their fully-qualified name
-// (types.Func.FullName covers both "pkg.F" and "(pkg.T).M"), which is
-// stable across processes — the property the cache depends on.
+// (types.Func.FullName covers both "pkg.F" and "(pkg.T).M").
 type factKey struct {
-	Obj  string `json:"obj"`
-	Type string `json:"type"`
+	Obj  string
+	Type string
 }
 
 // factStore holds every fact exported during a run, shared across all
@@ -35,7 +33,7 @@ func newFactStore() *factStore {
 	return &factStore{m: make(map[factKey]json.RawMessage)}
 }
 
-// objFactName returns the stable cross-process key for obj, or "" when
+// objFactName returns the fact key for obj, or "" when
 // obj is not a package-level function/method (the only objects facts
 // may describe).
 func objFactName(obj types.Object) string {
@@ -75,60 +73,4 @@ func (s *factStore) importInto(analyzer string, obj types.Object, ptr Fact) bool
 		panic(fmt.Sprintf("thermlint: %s fact %T not unmarshalable: %v", analyzer, ptr, err))
 	}
 	return true
-}
-
-// cachedFact is the serialized form of one fact, as stored in a cache
-// entry and replayed into the store on a cache hit.
-type cachedFact struct {
-	Obj  string          `json:"obj"`
-	Type string          `json:"type"`
-	Data json.RawMessage `json:"data"`
-}
-
-// factsForPackage snapshots every fact describing an object of pkgPath
-// in deterministic order; the slice a cache entry persists. Object keys
-// embed the defining package's path ("pkg.F", "(pkg.T).M",
-// "(*pkg.T).M"), so a substring match on the path with delimiters on
-// both sides is exact.
-func (s *factStore) factsForPackage(pkgPath string) []cachedFact {
-	var out []cachedFact
-	for k, data := range s.m {
-		if !objBelongsTo(k.Obj, pkgPath) {
-			continue
-		}
-		out = append(out, cachedFact{Obj: k.Obj, Type: k.Type, Data: data})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Obj != out[j].Obj {
-			return out[i].Obj < out[j].Obj
-		}
-		return out[i].Type < out[j].Type
-	})
-	return out
-}
-
-// objBelongsTo reports whether a FullName-style object key describes an
-// object defined in pkgPath: "pkgPath.Name", "(pkgPath.T).M", or
-// "(*pkgPath.T).M".
-func objBelongsTo(objKey, pkgPath string) bool {
-	rest := objKey
-	if len(rest) > 0 && rest[0] == '(' {
-		rest = rest[1:]
-		if len(rest) > 0 && rest[0] == '*' {
-			rest = rest[1:]
-		}
-	}
-	if len(rest) <= len(pkgPath) || rest[:len(pkgPath)] != pkgPath {
-		return false
-	}
-	return rest[len(pkgPath)] == '.'
-}
-
-// replay loads previously cached facts back into the store, making a
-// cache-hit package's exports visible to its importers exactly as a
-// live analysis would have.
-func (s *factStore) replay(facts []cachedFact) {
-	for _, f := range facts {
-		s.m[factKey{Obj: f.Obj, Type: f.Type}] = f.Data
-	}
 }

@@ -2,8 +2,6 @@ package analysis
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"go/ast"
@@ -177,25 +175,6 @@ func (l *loader) pkg(path string) (*Package, error) {
 	}
 	l.pkgs[path] = pkg
 	return pkg, nil
-}
-
-// hash returns the package's content hash: the sha256 of its file
-// names and contents, in go list order. Dependency contents are NOT
-// folded in here — the cache combines this with the dependencies'
-// action IDs instead (see actionID), so a one-byte change invalidates
-// exactly the changed package and its reverse dependencies.
-func (lp *listedPackage) hash() (string, error) {
-	h := sha256.New()
-	fmt.Fprintf(h, "pkg %s\n", lp.ImportPath)
-	for _, f := range lp.GoFiles {
-		data, err := os.ReadFile(filepath.Join(lp.Dir, f))
-		if err != nil {
-			return "", err
-		}
-		fmt.Fprintf(h, "file %s %d\n", f, len(data))
-		h.Write(data)
-	}
-	return hex.EncodeToString(h.Sum(nil)), nil
 }
 
 // Load enumerates the packages matching patterns with `go list` (run

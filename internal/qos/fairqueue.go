@@ -59,17 +59,6 @@ func (fq *FairQueue[T]) Push(tenant string, class Class, item T) {
 	fq.size++
 }
 
-// PushFront prepends item to tenant's lane for class, for requeueing
-// recovered work ahead of new arrivals.
-func (fq *FairQueue[T]) PushFront(tenant string, class Class, item T) {
-	cl := fq.classes[class]
-	if _, ok := cl.lanes[tenant]; !ok {
-		cl.tenants = append(cl.tenants, tenant)
-	}
-	cl.lanes[tenant] = append([]T{item}, cl.lanes[tenant]...)
-	fq.size++
-}
-
 // Pop removes and returns the next item of class under weighted
 // round-robin, or false if the class has nothing queued.
 func (fq *FairQueue[T]) Pop(class Class) (T, bool) {
@@ -91,6 +80,7 @@ func (fq *FairQueue[T]) Pop(class Class) (T, bool) {
 			cl.credit = fq.weight(t)
 		}
 		item := lane[0]
+		lane[0] = zero // drop the lane's reference to the popped item
 		cl.lanes[t] = lane[1:]
 		fq.size--
 		cl.credit--

@@ -181,13 +181,9 @@ func TestFairQueueClassesIsolated(t *testing.T) {
 	}
 }
 
-func TestFairQueuePushFrontAndDrain(t *testing.T) {
+func TestFairQueueDrain(t *testing.T) {
 	fq := NewFairQueue[string](nil)
 	fq.Push("t", ClassShort, "x")
-	fq.PushFront("t", ClassShort, "recovered")
-	if v, _ := fq.Pop(ClassShort); v != "recovered" {
-		t.Fatalf("head = %q, want recovered", v)
-	}
 	fq.Push("u", ClassLong, "l1")
 	fq.Push("t", ClassShort, "s1")
 	out := fq.Drain()

@@ -101,10 +101,6 @@ func TestQoSDemoteThenRetrain(t *testing.T) {
 		}
 		return json.RawMessage(`{}`), nil
 	})
-	qs, ok := s.sched.(*qosSched)
-	if !ok {
-		t.Fatalf("scheduler is %T, want *qosSched", s.sched)
-	}
 
 	// A cold predictor classes everything short (weakly-short init).
 	_, st := postJob(t, ts, `{"kind":"timing","workload":"mcf","depths":{"measure":1000}}`)
@@ -117,7 +113,7 @@ func TestQoSDemoteThenRetrain(t *testing.T) {
 	// race the background demote loop (the fake-clock Advance fires its
 	// timer too), so assert on the observable outcome, not the count.
 	fake.Advance(150 * time.Millisecond)
-	qs.demoteOverruns()
+	s.sched.demoteOverruns()
 	mid := getStatus(t, ts, st.ID)
 	if !mid.Demoted || mid.Class != "long" {
 		t.Fatalf("overrunning job demoted=%v class=%q, want demoted long", mid.Demoted, mid.Class)

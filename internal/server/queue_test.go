@@ -3,6 +3,8 @@ package server
 import (
 	"testing"
 	"time"
+
+	"thermalherd/internal/qos"
 )
 
 func testJob(id string) *job {
@@ -13,26 +15,72 @@ func testJob(id string) *job {
 	return j
 }
 
-func TestQueueFIFO(t *testing.T) {
-	q := newQueue(3, nil)
-	for _, id := range []string{"a", "b", "c"} {
-		if err := q.push(testJob(id)); err != nil {
-			t.Fatalf("push(%s): %v", id, err)
-		}
+// popWithin pops from q, failing the test if pop blocks for 2s (a capped
+// class would block rather than deliver).
+func popWithin(t *testing.T, q *qosSched) (*job, bool) {
+	t.Helper()
+	type popped struct {
+		j  *job
+		ok bool
 	}
-	if q.len() != 3 {
-		t.Fatalf("len = %d, want 3", q.len())
-	}
-	for _, want := range []string{"a", "b", "c"} {
+	ch := make(chan popped, 1)
+	go func() {
 		j, ok := q.pop()
-		if !ok || j.id != want {
-			t.Fatalf("pop = %v,%v, want %s", j, ok, want)
-		}
+		ch <- popped{j, ok}
+	}()
+	select {
+	case p := <-ch:
+		return p.j, p.ok
+	case <-time.After(2 * time.Second):
+		t.Fatal("pop blocked")
+		return nil, false
+	}
+}
+
+// TestQueueFIFO pins the FIFO configuration of the scheduler: one lane
+// in global arrival order whatever the tenant or class, and no cap on
+// how many long jobs may run at once (popped jobs are never finished
+// here, so a long-class cap would block the second long pop).
+func TestQueueFIFO(t *testing.T) {
+	mk := func(id, tenant string, class qos.Class) *job {
+		j := testJob(id)
+		j.tenant = tenant
+		j.setClass(class)
+		return j
+	}
+	short, long := qos.ClassShort, qos.ClassLong
+	cases := []struct {
+		name string
+		jobs []*job
+	}{
+		{"one tenant", []*job{mk("a", "t", short), mk("b", "t", short), mk("c", "t", short)}},
+		{"two tenants interleaved", []*job{mk("a1", "a", short), mk("a2", "a", short),
+			mk("b1", "b", short), mk("a3", "a", short), mk("b2", "b", short)}},
+		{"pre-classed long", []*job{mk("l1", "t", long), mk("l2", "t", long),
+			mk("s1", "t", short), mk("l3", "t", long)}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			q := newFIFOSched(len(tc.jobs), nil)
+			for _, j := range tc.jobs {
+				if err := q.push(j); err != nil {
+					t.Fatalf("push(%s): %v", j.id, err)
+				}
+			}
+			if q.len() != len(tc.jobs) {
+				t.Fatalf("len = %d, want %d", q.len(), len(tc.jobs))
+			}
+			for i, want := range tc.jobs {
+				if j, ok := popWithin(t, q); !ok || j.id != want.id {
+					t.Fatalf("pop %d = %v (ok=%v), want %s", i, j, ok, want.id)
+				}
+			}
+		})
 	}
 }
 
 func TestQueueFull(t *testing.T) {
-	q := newQueue(1, nil)
+	q := newFIFOSched(1, nil)
 	if err := q.push(testJob("a")); err != nil {
 		t.Fatalf("push: %v", err)
 	}
@@ -42,7 +90,7 @@ func TestQueueFull(t *testing.T) {
 }
 
 func TestQueueClose(t *testing.T) {
-	q := newQueue(2, nil)
+	q := newFIFOSched(2, nil)
 	q.push(testJob("a"))
 	q.close()
 	if err := q.push(testJob("b")); err != ErrQueueClosed {
@@ -58,7 +106,7 @@ func TestQueueClose(t *testing.T) {
 }
 
 func TestQueueCloseWakesBlockedPop(t *testing.T) {
-	q := newQueue(1, nil)
+	q := newFIFOSched(1, nil)
 	done := make(chan bool, 1)
 	go func() {
 		_, ok := q.pop()
@@ -77,7 +125,7 @@ func TestQueueCloseWakesBlockedPop(t *testing.T) {
 }
 
 func TestQueueDrainPending(t *testing.T) {
-	q := newQueue(4, nil)
+	q := newFIFOSched(4, nil)
 	q.push(testJob("a"))
 	q.push(testJob("b"))
 	pending := q.drainPending()

@@ -71,10 +71,17 @@ func TestReplicaAdoptEndToEnd(t *testing.T) {
 	release <- struct{}{} // job 1 finishes
 	waitState(t, tsa, st1.ID, StateDone)
 
-	// The sync policy means both acks already imply replica appends;
-	// the completed event for job 1 is there too.
-	if got := sb.replica.receivedEvents(); got < 3 {
-		t.Fatalf("successor received %d replica events, want >= 3", got)
+	// The sync policy means both acks and job 1's start already imply
+	// replica appends (3 events). Job 1's completed event is streamed
+	// after its state turns done, so wait for it (event 4); job 2's
+	// start can only follow it. Adopting before it lands would requeue
+	// the finished job.
+	deadline := time.Now().Add(5 * time.Second)
+	for sb.replica.receivedEvents() < 4 {
+		if time.Now().After(deadline) {
+			t.Fatalf("successor received %d replica events, want >= 4", sb.replica.receivedEvents())
+		}
+		time.Sleep(time.Millisecond)
 	}
 
 	// "a" dies (we simply stop routing to it). Park b's worker so the
@@ -118,7 +125,7 @@ func TestReplicaAdoptEndToEnd(t *testing.T) {
 	}
 	close(released)
 	waitState(t, tsb, st2.ID+"@a", StateDone)
-	deadline := time.Now().Add(5 * time.Second)
+	deadline = time.Now().Add(5 * time.Second)
 	for {
 		code, _ = readyzDoc(t, tsb)
 		if code == http.StatusOK {

@@ -1,7 +1,9 @@
 package server
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"math/bits"
 	"sync"
 	"time"
@@ -10,9 +12,11 @@ import (
 	"thermalherd/internal/qos"
 )
 
-// Scheduling policies accepted by Config.SchedPolicy.
+// Scheduling policies accepted by Config.SchedPolicy. Both configure
+// the one scheduler, qosSched; FIFO is QoS with its predictor off.
 const (
-	// SchedFIFO is the classic bounded first-in-first-out queue.
+	// SchedFIFO is the classic bounded first-in-first-out queue: one
+	// lane for all tenants, no long-class cap, no predictor training.
 	SchedFIFO = "fifo"
 	// SchedQoS enables the cost-predicted multi-tenant scheduler: a
 	// reserved short-job fast pool, weighted-fair dequeue across
@@ -20,35 +24,14 @@ const (
 	SchedQoS = "qos"
 )
 
-// Scheduler is the pluggable queue discipline feeding the worker pool.
-// The server refactored its bounded FIFO behind this seam so queue
-// policy (plain FIFO, QoS fast pool, future priority schemes) can vary
-// without touching the worker, admission, or recovery paths.
-//
-// Contract:
-//   - push admits one live job, failing with ErrQueueFull/ErrQueueClosed.
-//   - requeue re-admits recovered work past the capacity bound.
-//   - pop blocks for the next runnable job; ok=false means closed and
-//     drained, retiring the calling worker.
-//   - finished releases whatever slot accounting pop charged for j and
-//     trains the cost predictor; it must be idempotent (both the normal
-//     runJob path and the watchdog reaper call it).
-//   - oldestWait is the head-of-line wait driving brownout admission.
-type Scheduler interface {
-	push(j *job) error
-	requeue(j *job) error
-	pop() (*job, bool)
-	finished(j *job)
-	len() int
-	cap() int
-	oldestWait() time.Duration
-	close()
-	drainPending() []*job
-}
-
-// The FIFO queue is the default Scheduler; its pop charges nothing, so
-// finished has nothing to release.
-func (q *queue) finished(j *job) {}
+// Queue admission errors.
+var (
+	// ErrQueueFull rejects a push when the queue is at capacity; the
+	// HTTP layer maps it to 503.
+	ErrQueueFull = errors.New("server: job queue full")
+	// ErrQueueClosed rejects pushes after shutdown began.
+	ErrQueueClosed = errors.New("server: job queue closed")
+)
 
 // predictorKey buckets a spec for the job-cost predictor — the
 // service-level analogue of the PC index into the paper's width
@@ -83,14 +66,14 @@ type slotInfo struct {
 	class     qos.Class
 }
 
-// qosSched is the QoS Scheduler: queued jobs sit in per-tenant,
-// per-class weighted-fair lanes, and dequeue enforces a reserved
-// short-job fast pool by capping long-class concurrency at longCap
-// (Workers - ShortReserve) — workers stay homogeneous; what is
-// reserved is occupancy, not goroutines. Shorts are always eligible
-// and always preferred, so a flood of heavyweight sweeps can occupy at
-// most longCap slots while at least ShortReserve slots keep draining
-// interactive work.
+// qosSched is the scheduler feeding the worker pool. Under SchedQoS
+// queued jobs sit in per-tenant, per-class weighted-fair lanes, and
+// dequeue enforces a reserved short-job fast pool by capping
+// long-class concurrency at longCap (Workers - ShortReserve) — workers
+// stay homogeneous; what is reserved is occupancy, not goroutines.
+// Shorts are always eligible and always preferred, so a flood of
+// heavyweight sweeps can occupy at most longCap slots while at least
+// ShortReserve slots keep draining interactive work.
 //
 // A running predicted-short job that overruns the short budget is
 // demoted by the sweep (demoteOverruns): its charge flips to long —
@@ -99,6 +82,11 @@ type slotInfo struct {
 // paper's unsafe-mispredict stall — and its predictor counter is
 // retrained so the next submission of its bucket is classed long at
 // admission.
+//
+// SchedFIFO is the same scheduler with the predictor off (pred nil),
+// as the paper turns herding off by dropping its width predictor:
+// every job joins one short-class lane in global arrival order, so no
+// cap applies, nothing is trained and nothing is demoted.
 type qosSched struct {
 	mu       sync.Mutex
 	nonEmpty *sync.Cond
@@ -113,6 +101,11 @@ type qosSched struct {
 	running map[string]*slotInfo
 	nShort  int
 	nLong   int
+}
+
+// newFIFOSched configures the scheduler as SchedFIFO.
+func newFIFOSched(maxQueued int, clk clock.Clock) *qosSched {
+	return newQoSSched(maxQueued, 1, 0, 0, nil, nil, clk)
 }
 
 func newQoSSched(maxQueued, workers, shortReserve int, budget time.Duration,
@@ -157,29 +150,31 @@ func newQoSSched(maxQueued, workers, shortReserve int, budget time.Duration,
 	return q
 }
 
-func (q *qosSched) push(j *job) error {
+// push admits one live job, failing when the queue is full or closed.
+func (q *qosSched) push(j *job) error { return q.enqueue(j, q.max) }
+
+// requeue admits j past the capacity bound; recovery and adoption use
+// it so a replayed backlog larger than QueueDepth is never silently
+// dropped (the bound protects live admission, not recovered work).
+func (q *qosSched) requeue(j *job) error { return q.enqueue(j, math.MaxInt) }
+
+// enqueue appends j to its lane unless the scheduler is closed or
+// already holds limit jobs. Under SchedFIFO every job joins the single
+// short lane, so pop serves global arrival order with no cap.
+func (q *qosSched) enqueue(j *job, limit int) error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.closed {
 		return ErrQueueClosed
 	}
-	if q.fq.Len() >= q.max {
+	if q.fq.Len() >= limit {
 		return ErrQueueFull
 	}
-	q.fq.Push(j.tenant, j.qclass(), j)
-	q.nonEmpty.Signal()
-	return nil
-}
-
-// requeue admits recovered work past the capacity bound, mirroring the
-// FIFO queue's recovery contract.
-func (q *qosSched) requeue(j *job) error {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.closed {
-		return ErrQueueClosed
+	if q.pred == nil {
+		q.fq.Push("", qos.ClassShort, j)
+	} else {
+		q.fq.Push(j.tenant, j.qclass(), j)
 	}
-	q.fq.Push(j.tenant, j.qclass(), j)
 	q.nonEmpty.Signal()
 	return nil
 }
@@ -220,10 +215,10 @@ func (q *qosSched) charge(j *job, class qos.Class) {
 	}
 }
 
-// finished releases j's slot charge and trains the predictor on its
-// observed runtime. Idempotent: the second caller (runJob's deferred
-// release after the watchdog already reaped, or vice versa) finds no
-// charge and does nothing.
+// finished releases j's slot charge and, under SchedQoS, trains the
+// predictor on its observed runtime. Idempotent: the second caller
+// (runJob's deferred release after the watchdog already reaped, or
+// vice versa) finds no charge and does nothing.
 func (q *qosSched) finished(j *job) {
 	q.mu.Lock()
 	info, ok := q.running[j.id]
@@ -244,7 +239,7 @@ func (q *qosSched) finished(j *job) {
 	q.mu.Unlock()
 	// Train outside the lock; jobs that never started (canceled while
 	// queued) carry no runtime signal.
-	if !started.IsZero() {
+	if q.pred != nil && !started.IsZero() {
 		q.pred.Observe(j.pkey, predicted, overran)
 	}
 }
@@ -304,6 +299,8 @@ func (q *qosSched) oldestWait() time.Duration {
 	return q.clk.Since(oldest)
 }
 
+// close stops admission and wakes all blocked pops. Queued jobs are
+// still delivered; pop returns false once they are drained.
 func (q *qosSched) close() {
 	q.mu.Lock()
 	q.closed = true
@@ -311,6 +308,8 @@ func (q *qosSched) close() {
 	q.nonEmpty.Broadcast()
 }
 
+// drainPending removes and returns every queued-but-unstarted job;
+// used at shutdown to cancel work that never ran.
 func (q *qosSched) drainPending() []*job {
 	q.mu.Lock()
 	defer q.mu.Unlock()

@@ -202,7 +202,7 @@ type Config struct {
 type Server struct {
 	cfg     Config
 	mux     *http.ServeMux
-	sched   Scheduler
+	sched   *qosSched
 	cache   *resultCache
 	metrics *metrics
 	faults  *faultinject.Registry
@@ -310,7 +310,7 @@ func New(cfg Config) (*Server, error) {
 	switch cfg.SchedPolicy {
 	case "", SchedFIFO:
 		s.cfg.SchedPolicy = SchedFIFO
-		s.sched = newQueue(cfg.QueueDepth, cfg.Clock)
+		s.sched = newFIFOSched(cfg.QueueDepth, cfg.Clock)
 	case SchedQoS:
 		s.sched = newQoSSched(cfg.QueueDepth, cfg.Workers, cfg.ShortReserve,
 			s.cfg.ShortBudget, cfg.TenantWeights, s.predictor, cfg.Clock)
@@ -384,8 +384,8 @@ func (s *Server) Start() {
 	if s.cfg.StuckAfter > 0 {
 		go s.watchdog()
 	}
-	if qs, ok := s.sched.(*qosSched); ok {
-		go s.demoteLoop(qs)
+	if s.cfg.SchedPolicy == SchedQoS {
+		go s.demoteLoop()
 	}
 }
 
@@ -394,7 +394,7 @@ func (s *Server) Start() {
 // qosSched.demoteOverruns). It runs on the clock seam so fake-clock
 // tests drive demotion deterministically, and stops with the watchdog
 // at drain.
-func (s *Server) demoteLoop(q *qosSched) {
+func (s *Server) demoteLoop() {
 	interval := s.cfg.ShortBudget / 4
 	if interval < 5*time.Millisecond {
 		interval = 5 * time.Millisecond
@@ -407,7 +407,7 @@ func (s *Server) demoteLoop(q *qosSched) {
 		case <-s.watchdogStop:
 			return
 		case <-s.cfg.Clock.After(interval):
-			q.demoteOverruns()
+			s.sched.demoteOverruns()
 		}
 	}
 }
@@ -671,8 +671,8 @@ func (s *Server) Metrics() map[string]any {
 		schedPolicy:      s.cfg.SchedPolicy,
 		predictor:        s.predictor.Stats(),
 	}
-	if qs, ok := s.sched.(*qosSched); ok {
-		g.queuedShort, g.queuedLong, g.runningShort, g.runningLong = qs.counts()
+	if s.cfg.SchedPolicy == SchedQoS {
+		g.queuedShort, g.queuedLong, g.runningShort, g.runningLong = s.sched.counts()
 	}
 	if s.journal != nil {
 		st := s.journal.Stats()
