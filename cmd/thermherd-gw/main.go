@@ -7,7 +7,7 @@
 // Usage:
 //
 //	thermherd-gw -backends n0=http://h0:8077,n1=http://h1:8077,n2=http://h2:8077
-//	             [-addr :8070] [-vnodes 64]
+//	             [-addr :8070]
 //	             [-probe-interval 1s] [-probe-timeout 500ms] [-fail-threshold 3]
 //	             [-scatter-timeout 2s] [-faults SPEC] [-fault-seed 1]
 //
@@ -33,12 +33,12 @@
 //
 //   - -hedge enables request hedging: idempotent reads and
 //     Idempotency-Key-bearing submits get a second attempt after the
-//     per-route-class p95 delay (clamped into [-hedge-min, -hedge-max]);
+//     per-route-class p95 delay (clamped into [5ms, 100ms]);
 //     the first reply wins and the loser is cancelled or reaped.
 //   - -retry-budget / -retry-burst bound retry+hedge amplification to
 //     ~budget of base traffic (a Finagle-style token bucket).
-//   - -breaker-threshold / -breaker-cooldown tune the per-backend
-//     circuit breakers fed by forward and probe outcomes.
+//   - -breaker-cooldown tunes the per-backend circuit breakers fed by
+//     forward and probe outcomes (5 consecutive failures open one).
 //   - -admin-token (or $THERMHERD_ADMIN_TOKEN) enables the authenticated
 //     live-membership API: POST/GET /v1/admin/nodes, POST
 //     /v1/admin/nodes/{name}/drain, DELETE /v1/admin/nodes/{name}.
@@ -97,7 +97,6 @@ func main() {
 	var (
 		addr          = flag.String("addr", ":8070", "listen address")
 		backendsSpec  = flag.String("backends", "", "comma-separated name=baseURL backend list (required)")
-		vnodes        = flag.Int("vnodes", gateway.DefaultVNodes, "virtual nodes per backend on the hash ring")
 		probeInterval = flag.Duration("probe-interval", time.Second, "membership /readyz probe interval")
 		probeTimeout  = flag.Duration("probe-timeout", 500*time.Millisecond, "per-probe timeout")
 		failThreshold = flag.Int("fail-threshold", 3, "consecutive probe failures before a backend is ejected")
@@ -106,11 +105,8 @@ func main() {
 		faultSeed     = flag.Int64("fault-seed", 1, "seed for fault-injection firing decisions")
 
 		hedge       = flag.Bool("hedge", false, "hedge idempotent reads and keyed submits after the per-class p95 delay")
-		hedgeMin    = flag.Duration("hedge-min", 5*time.Millisecond, "lower clamp on the hedge delay")
-		hedgeMax    = flag.Duration("hedge-max", 100*time.Millisecond, "upper clamp on the hedge delay")
 		retryBudget = flag.Float64("retry-budget", 0.1, "retry+hedge tokens deposited per base request")
 		retryBurst  = flag.Float64("retry-burst", 10, "retry-budget bucket capacity")
-		brkThresh   = flag.Int("breaker-threshold", 5, "consecutive failures that open a backend's circuit")
 		brkCooldown = flag.Duration("breaker-cooldown", 5*time.Second, "how long an open circuit waits before a half-open trial")
 		adminToken  = flag.String("admin-token", os.Getenv("THERMHERD_ADMIN_TOKEN"), "bearer token for the /v1/admin/nodes API; empty disables it; defaults to $THERMHERD_ADMIN_TOKEN")
 
@@ -124,17 +120,13 @@ func main() {
 	}
 	cfg := gateway.Config{
 		Backends:         backends,
-		VNodes:           *vnodes,
 		ProbeInterval:    *probeInterval,
 		ProbeTimeout:     *probeTimeout,
 		FailThreshold:    *failThreshold,
 		ScatterTimeout:   *scatterTO,
 		Hedge:            *hedge,
-		HedgeMin:         *hedgeMin,
-		HedgeMax:         *hedgeMax,
 		RetryBudgetRatio: *retryBudget,
 		RetryBudgetBurst: *retryBurst,
-		BreakerThreshold: *brkThresh,
 		BreakerCooldown:  *brkCooldown,
 		AdminToken:       *adminToken,
 		TakeoverAfter:    *takeoverAfter,
@@ -174,8 +166,8 @@ func main() {
 	log.Printf("thermherd-gw: listening on %s, herding %d backends (%s)",
 		ln.Addr(), len(backends), strings.Join(names, ", "))
 	if *hedge {
-		log.Printf("thermherd-gw: hedging enabled (delay clamp %v..%v, retry budget %.2f burst %.0f)",
-			*hedgeMin, *hedgeMax, *retryBudget, *retryBurst)
+		log.Printf("thermherd-gw: hedging enabled (retry budget %.2f burst %.0f)",
+			*retryBudget, *retryBurst)
 	}
 	if *adminToken != "" {
 		log.Printf("thermherd-gw: admin API enabled on /v1/admin/nodes")

@@ -89,7 +89,7 @@ func TestKillAndRestartLosesNoAckedJob(t *testing.T) {
 	for i := 0; i < n; i++ {
 		spec := server.Spec{Kind: "timing", Config: "TH", Workload: "bitcount",
 			Depths: server.Depths{FastForward: 5000 + uint64(i), Warmup: 1000, Measure: 2000}}
-		st, err := client.Submit(ctx, spec, fmt.Sprintf("crash-%d", i))
+		st, err := client.Submit(ctx, spec, fmt.Sprintf("crash-%d", i), "")
 		if err != nil {
 			t.Fatalf("submit %d: %v", i, err)
 		}

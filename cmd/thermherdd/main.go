@@ -56,14 +56,12 @@ package main
 import (
 	"context"
 	"flag"
-	"fmt"
 	"log"
 	"net"
 	"net/http"
 	"os"
 	"os/signal"
 	"runtime"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -129,7 +127,7 @@ func main() {
 		}
 	}
 
-	weights, werr := parseTenantWeights(*tenantWeights)
+	weights, werr := server.ParseTenantWeights(*tenantWeights)
 	if werr != nil {
 		log.Fatalf("thermherdd: %v", werr)
 	}
@@ -213,24 +211,4 @@ func main() {
 		hs.Close()
 	}
 	log.Printf("thermherdd: stopped")
-}
-
-// parseTenantWeights parses "live=4,batch=1" into a weight map.
-func parseTenantWeights(s string) (map[string]int, error) {
-	if s == "" {
-		return nil, nil
-	}
-	weights := make(map[string]int)
-	for _, part := range strings.Split(s, ",") {
-		name, val, ok := strings.Cut(strings.TrimSpace(part), "=")
-		if !ok || name == "" {
-			return nil, fmt.Errorf("bad tenant weight %q (want tenant=N)", part)
-		}
-		w, err := strconv.Atoi(val)
-		if err != nil || w < 1 {
-			return nil, fmt.Errorf("bad tenant weight %q: want a positive integer", part)
-		}
-		weights[name] = w
-	}
-	return weights, nil
 }

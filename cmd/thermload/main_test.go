@@ -160,7 +160,7 @@ func TestChaosScenarioSelfhost(t *testing.T) {
 		t.Fatalf("chaos run: %v", err) // includes any chaos-check failure
 	}
 	// The two injected panics become exactly two failed jobs; the
-	// daemon survives them (chaosCheck verified liveness and the
+	// daemon survives them (loadgen.ChaosCheck verified liveness and the
 	// accounting identity before run returned).
 	if rep.Achieved.Failed != 2 {
 		t.Fatalf("failed = %d, want exactly the 2 injected panics", rep.Achieved.Failed)
@@ -170,6 +170,50 @@ func TestChaosScenarioSelfhost(t *testing.T) {
 	}
 	if rep.Achieved.Done == 0 {
 		t.Fatal("no jobs completed around the injected faults")
+	}
+}
+
+// TestSelfhostRejectsHarnessFaultOnOneNode: the selfhost.backend.*
+// points act on a herd behind a gateway. Armed on a lone daemon they
+// would never fire while the chaos check still passed, so the run is
+// refused before any load is sent.
+func TestSelfhostRejectsHarnessFaultOnOneNode(t *testing.T) {
+	o, err := parseFlags([]string{
+		"-selfhost", "-chaos",
+		"-faults", "selfhost.backend.kill=error:kill,count:1,delay:200ms",
+		"-mode", "constant", "-rps", "5", "-duration", "1s", "-out", "",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	devnull, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer devnull.Close()
+	rep, err := run(context.Background(), o, devnull)
+	if err == nil || !strings.Contains(err.Error(), "selfhost.backend.kill") {
+		t.Fatalf("harness fault on a one-node run: err = %v, want a refusal naming the point", err)
+	}
+	if rep != nil {
+		t.Fatalf("refused run still produced a report: %+v", rep)
+	}
+}
+
+// TestTenantWeightsFlagValidation: a malformed -tenant-weights value is
+// rejected at flag parsing.
+func TestTenantWeightsFlagValidation(t *testing.T) {
+	for _, bad := range []string{"live=0", "live", "=3", "live=x"} {
+		if _, err := parseFlags([]string{"-selfhost", "-tenant-weights", bad}); err == nil {
+			t.Fatalf("-tenant-weights %q accepted", bad)
+		}
+	}
+	o, err := parseFlags([]string{"-selfhost", "-tenant-weights", "live=4,batch=1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w := o.herd.Server.TenantWeights; w["live"] != 4 || w["batch"] != 1 {
+		t.Fatalf("weights = %v", w)
 	}
 }
 

@@ -1,7 +1,8 @@
 // Command loadtest shows how to use internal/loadgen as a library: it
-// hosts an in-process daemon, synthesizes a Poisson arrival schedule,
-// drives it through the open-loop runner, and prints the report
-// summary plus a few fields pulled straight off the Report struct.
+// hosts an in-process daemon (a one-node internal/herd), synthesizes a
+// Poisson arrival schedule, drives it through the open-loop runner, and
+// prints the report summary plus a few fields pulled straight off the
+// Report struct.
 // Command thermload wraps this same flow behind flags; reach for the
 // library when a benchmark needs programmatic control over the
 // schedule or the mix.
@@ -12,12 +13,11 @@ package main
 import (
 	"context"
 	"fmt"
-	"net"
-	"net/http"
 	"os"
 	"runtime"
 	"time"
 
+	"thermalherd/internal/herd"
 	"thermalherd/internal/loadgen"
 	"thermalherd/internal/server"
 )
@@ -30,26 +30,16 @@ func main() {
 }
 
 func run() error {
-	// Host a daemon in-process on a loopback port.
-	srv, err := server.New(server.Config{Workers: runtime.NumCPU(), QueueDepth: 512, CacheSize: 512})
+	// Host a daemon in-process on a loopback port: a one-node herd.
+	h, err := herd.Start(herd.Config{
+		Nodes:  1,
+		Server: server.Config{Workers: runtime.NumCPU(), QueueDepth: 512, CacheSize: 512},
+	})
 	if err != nil {
 		return err
 	}
-	srv.Start()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	hs := &http.Server{Handler: srv}
-	go hs.Serve(ln)
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		srv.Drain(ctx)
-		hs.Shutdown(ctx)
-	}()
-	base := "http://" + ln.Addr().String()
-	fmt.Println("daemon listening at", base)
+	defer h.Stop()
+	fmt.Println("daemon listening at", h.URL)
 
 	// A deterministic Poisson schedule: same config + seed always
 	// yields the same arrival offsets.
@@ -77,7 +67,7 @@ func run() error {
 	}
 
 	rep, err := loadgen.Run(context.Background(), loadgen.RunConfig{
-		Client:       loadgen.NewClient(base, 3, 50*time.Millisecond, 1),
+		Client:       loadgen.NewClient(h.URL, 3, 50*time.Millisecond, 1),
 		Schedule:     sched,
 		Specs:        specs,
 		MaxInFlight:  128,

@@ -15,7 +15,7 @@ import (
 // name and every key of the /metrics document builder must be one of
 // the registered constants. A typo'd or dynamically built key would
 // silently break /metrics reconciliation (the submitted ==
-// hits+completed+failed+canceled+rejected identity chaosCheck asserts),
+// hits+completed+failed+canceled+rejected identity loadgen.ChaosCheck asserts),
 // so raw string literals at those sites are errors even when their
 // value happens to match.
 var MetricKeys = &Analyzer{

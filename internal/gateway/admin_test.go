@@ -13,33 +13,6 @@ import (
 
 const testAdminToken = "test-admin-token"
 
-// startHerdWith is startHerd with a Config hook, for tests that need
-// hedging, admin access, or a fault registry wired in.
-func startHerdWith(t *testing.T, n int, mutate func(*Config)) (*Gateway, *httptest.Server, []*backendHandle) {
-	t.Helper()
-	handles := make([]*backendHandle, n)
-	backends := make([]Backend, n)
-	for i := 0; i < n; i++ {
-		handles[i] = startBackend(t, fmt.Sprintf("n%d", i))
-		backends[i] = Backend{Name: handles[i].name, URL: handles[i].ts.URL}
-	}
-	cfg := Config{Backends: backends, ProbeInterval: time.Hour}
-	if mutate != nil {
-		mutate(&cfg)
-	}
-	g, err := New(cfg)
-	if err != nil {
-		t.Fatalf("gateway.New: %v", err)
-	}
-	g.Start()
-	ts := httptest.NewServer(g)
-	t.Cleanup(func() {
-		ts.Close()
-		g.Close()
-	})
-	return g, ts, handles
-}
-
 // adminDo issues one admin-API request with the given bearer token.
 func adminDo(t *testing.T, method, url, token, body string) (*http.Response, []byte) {
 	t.Helper()
@@ -75,12 +48,12 @@ func mustUnmarshal(t *testing.T, raw []byte, out any) {
 // TestGatewayAdminAuth: without a configured token the admin API is
 // disabled outright; with one, only the exact bearer token passes.
 func TestGatewayAdminAuth(t *testing.T) {
-	_, tsNoToken, _ := startHerd(t, 2)
+	_, tsNoToken, _ := startHerd(t, 2, herdOpts{})
 	if resp, _ := adminDo(t, http.MethodGet, tsNoToken.URL+"/v1/admin/nodes", "whatever", ""); resp.StatusCode != http.StatusForbidden {
 		t.Fatalf("admin call on tokenless gateway: HTTP %d, want 403", resp.StatusCode)
 	}
 
-	_, ts, _ := startHerdWith(t, 2, func(c *Config) { c.AdminToken = testAdminToken })
+	_, ts, _ := startHerd(t, 2, herdOpts{gw: func(c *Config) { c.AdminToken = testAdminToken }})
 	if resp, _ := adminDo(t, http.MethodGet, ts.URL+"/v1/admin/nodes", "", ""); resp.StatusCode != http.StatusUnauthorized {
 		t.Fatalf("admin call without token: HTTP %d, want 401", resp.StatusCode)
 	}
@@ -107,8 +80,8 @@ func TestGatewayAdminAuth(t *testing.T) {
 // joining, is promoted by a probe, takes exactly the ring shard a
 // static 4-node gateway would give it, and bumps the epoch.
 func TestGatewayAdminAddNode(t *testing.T) {
-	g, ts, _ := startHerdWith(t, 3, func(c *Config) { c.AdminToken = testAdminToken })
-	joiner := startBackend(t, "n3")
+	g, ts, _ := startHerd(t, 3, herdOpts{gw: func(c *Config) { c.AdminToken = testAdminToken }})
+	joiner := startBackend(t, "n3", nil)
 
 	resp, raw := adminDo(t, http.MethodPost, ts.URL+"/v1/admin/nodes", testAdminToken,
 		fmt.Sprintf(`{"name":"n3","url":%q}`, joiner.ts.URL))
@@ -130,7 +103,7 @@ func TestGatewayAdminAddNode(t *testing.T) {
 
 	// Deterministic rehash: the live gateway's ring now answers
 	// identically to a ring built over 4 static nodes.
-	want := NewRing(g.cfg.VNodes)
+	want := NewRing(0)
 	for _, n := range []string{"n0", "n1", "n2", "n3"} {
 		want.Add(n)
 	}
@@ -164,7 +137,7 @@ func TestGatewayAdminAddNode(t *testing.T) {
 // healthy (dead URL) is in the ring but not in the rotation — its shard
 // keeps failing over instead of eating live submits.
 func TestGatewayAdminJoiningTakesNoTraffic(t *testing.T) {
-	g, ts, _ := startHerdWith(t, 2, func(c *Config) { c.AdminToken = testAdminToken })
+	g, ts, _ := startHerd(t, 2, herdOpts{gw: func(c *Config) { c.AdminToken = testAdminToken }})
 	dead := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
 	dead.Close()
 
@@ -185,7 +158,7 @@ func TestGatewayAdminJoiningTakesNoTraffic(t *testing.T) {
 // the epoch, shrinks the ring, and leaves a tombstone so old namespaced
 // ids still route to the living process.
 func TestGatewayAdminDrainRemoveLifecycle(t *testing.T) {
-	g, ts, _ := startHerdWith(t, 3, func(c *Config) { c.AdminToken = testAdminToken })
+	g, ts, _ := startHerd(t, 3, herdOpts{gw: func(c *Config) { c.AdminToken = testAdminToken }})
 	workload := workloadHomedOn(t, g, "n1")
 	st := submitVia(t, ts.URL, quickSpec(workload), nil)
 	waitDone(t, ts.URL, st.ID)

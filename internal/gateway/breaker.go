@@ -49,10 +49,11 @@ type breakerNode struct {
 	trialInFlight bool
 }
 
+// breakerThreshold is how many consecutive forward/probe failures open
+// a gateway's circuit for a backend.
+const breakerThreshold = 5
+
 func newBreaker(clk clock.Clock, faults *faultinject.Registry, threshold int, cooldown time.Duration) *breaker {
-	if threshold <= 0 {
-		threshold = 5
-	}
 	if cooldown <= 0 {
 		cooldown = 5 * time.Second
 	}

@@ -67,9 +67,6 @@ type Config struct {
 	// one is required. Names must be unique, non-empty, and free of the
 	// '@' id-separator.
 	Backends []Backend
-	// VNodes is the virtual-node count per backend on the hash ring;
-	// 0 means DefaultVNodes.
-	VNodes int
 	// ProbeInterval spaces membership health probes; 0 means 1s.
 	ProbeInterval time.Duration
 	// ProbeTimeout bounds each /readyz probe; 0 means 500ms.
@@ -89,23 +86,18 @@ type Config struct {
 
 	// Hedge enables request hedging: idempotent reads and
 	// Idempotency-Key-bearing submits get a second attempt after the
-	// per-route p95 hedge delay, first response wins.
+	// per-route p95 hedge delay (clamped into [5ms, 100ms]), first
+	// response wins.
 	Hedge bool
-	// HedgeMin / HedgeMax clamp the estimator-driven hedge delay;
-	// 0 means 5ms / 100ms. The max clamp is what keeps hedging useful
-	// when a straggler is common enough to drag the p95 itself.
-	HedgeMin time.Duration
-	HedgeMax time.Duration
 	// RetryBudgetRatio is the token-bucket deposit per base request
 	// (0 means 0.1: retries+hedges bounded to ~10% of base traffic);
 	// RetryBudgetBurst is the bucket capacity (0 means 10).
 	RetryBudgetRatio float64
 	RetryBudgetBurst float64
-	// BreakerThreshold consecutive forward/probe failures open a
-	// backend's circuit (0 means 5); BreakerCooldown is how long it
-	// stays open before a half-open trial (0 means 5s).
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
+	// BreakerCooldown is how long a backend's circuit stays open
+	// (after breakerThreshold consecutive forward/probe failures)
+	// before a half-open trial; 0 means 5s.
+	BreakerCooldown time.Duration
 	// AdminToken authorizes the /v1/admin/nodes API (Bearer token);
 	// empty leaves the admin API disabled.
 	AdminToken string
@@ -182,12 +174,12 @@ func New(cfg Config) (*Gateway, error) {
 	}
 	g := &Gateway{
 		cfg:        cfg,
-		ring:       NewRing(cfg.VNodes),
+		ring:       NewRing(DefaultVNodes),
 		mux:        http.NewServeMux(),
 		hc:         &http.Client{},
 		metrics:    &gwMetrics{},
 		warm:       newWarmSet(8192),
-		hedger:     newHedger(cfg.HedgeMin, cfg.HedgeMax),
+		hedger:     newHedger(),
 		budget:     newRetryBudget(cfg.RetryBudgetRatio, cfg.RetryBudgetBurst),
 		inflight:   make(map[string]*atomic.Int64, len(cfg.Backends)),
 		byName:     make(map[string]Backend, len(cfg.Backends)),
@@ -195,7 +187,7 @@ func New(cfg Config) (*Gateway, error) {
 		aliases:    make(map[string]string),
 		takingOver: make(map[string]bool),
 	}
-	g.breaker = newBreaker(cfg.Clock, cfg.Faults, cfg.BreakerThreshold, cfg.BreakerCooldown)
+	g.breaker = newBreaker(cfg.Clock, cfg.Faults, breakerThreshold, cfg.BreakerCooldown)
 	g.breaker.onOpen = func() { g.metrics.breakerOpens.Add(1) }
 	for _, b := range cfg.Backends {
 		b.URL = strings.TrimRight(b.URL, "/")

@@ -8,9 +8,11 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"thermalherd/internal/replication"
 	"thermalherd/internal/server"
 	"thermalherd/internal/trace"
 )
@@ -22,9 +24,15 @@ type backendHandle struct {
 	ts   *httptest.Server
 }
 
-func startBackend(t *testing.T, name string) *backendHandle {
+// startBackend starts one real backend; node, when set, adjusts its
+// server.Config first.
+func startBackend(t *testing.T, name string, node func(*server.Config)) *backendHandle {
 	t.Helper()
-	s, err := server.New(server.Config{Workers: 2, QueueDepth: 64, CacheSize: 64})
+	cfg := server.Config{Workers: 2, QueueDepth: 64, CacheSize: 64}
+	if node != nil {
+		node(&cfg)
+	}
+	s, err := server.New(cfg)
 	if err != nil {
 		t.Fatalf("server.New(%s): %v", name, err)
 	}
@@ -39,16 +47,72 @@ func startBackend(t *testing.T, name string) *backendHandle {
 	return &backendHandle{name: name, srv: s, ts: ts}
 }
 
-// startHerd builds n real backends behind one gateway.
-func startHerd(t *testing.T, n int) (*Gateway, *httptest.Server, []*backendHandle) {
+// herdOpts shapes a startHerd herd.
+type herdOpts struct {
+	// node adjusts each backend's server.Config before it starts.
+	node func(name string, cfg *server.Config)
+	// repl chains the backends with sync successor replication (each
+	// streams its journal to its successor on the same vnode ring the
+	// gateway routes with) and arms takeover: one failed probe marks a
+	// node down, and it is adopted a millisecond later.
+	repl bool
+	// gw adjusts the gateway's Config before it starts.
+	gw func(*Config)
+}
+
+// startHerd builds n real backends n0..n(n-1) behind one gateway whose
+// prober only runs when a test calls ProbeNow. Package gateway's tests
+// cannot use internal/herd, which imports gateway, so this is their
+// herd builder.
+func startHerd(t *testing.T, n int, o herdOpts) (*Gateway, *httptest.Server, []*backendHandle) {
 	t.Helper()
+	ring := NewRing(0)
+	names := make([]string, n)
+	for i := range names {
+		names[i] = fmt.Sprintf("n%d", i)
+		ring.Add(names[i])
+	}
+	var mu sync.Mutex
+	urls := make(map[string]string, n)
 	handles := make([]*backendHandle, n)
 	backends := make([]Backend, n)
-	for i := 0; i < n; i++ {
-		handles[i] = startBackend(t, fmt.Sprintf("n%d", i))
-		backends[i] = Backend{Name: handles[i].name, URL: handles[i].ts.URL}
+	for i, name := range names {
+		handles[i] = startBackend(t, name, func(cfg *server.Config) {
+			if o.repl {
+				succ := ring.SuccessorOf(name)
+				repl, err := replication.New(replication.Options{
+					Policy: replication.PolicySync,
+					Origin: name,
+					Target: func() (string, string) {
+						mu.Lock()
+						defer mu.Unlock()
+						return succ, urls[succ]
+					},
+				})
+				if err != nil {
+					t.Fatalf("replication.New(%s): %v", name, err)
+				}
+				cfg.NodeName, cfg.Repl = name, repl
+			}
+			if o.node != nil {
+				o.node(name, cfg)
+			}
+		})
+		mu.Lock()
+		urls[name] = handles[i].ts.URL
+		mu.Unlock()
+		backends[i] = Backend{Name: name, URL: handles[i].ts.URL}
 	}
-	g, err := New(Config{Backends: backends, ProbeInterval: time.Hour})
+	cfg := Config{Backends: backends, ProbeInterval: time.Hour}
+	if o.repl {
+		cfg.FailThreshold = 1
+		cfg.TakeoverAfter = time.Millisecond
+		cfg.AdminToken = testAdminToken
+	}
+	if o.gw != nil {
+		o.gw(&cfg)
+	}
+	g, err := New(cfg)
 	if err != nil {
 		t.Fatalf("gateway.New: %v", err)
 	}
@@ -189,7 +253,7 @@ func fetchMetrics(t *testing.T, baseURL string) map[string]any {
 // backend both times, and the second submission is that backend's
 // cache hit — verified against each backend's own /metrics.
 func TestGatewayCacheAffinity(t *testing.T) {
-	g, ts, handles := startHerd(t, 3)
+	g, ts, handles := startHerd(t, 3, herdOpts{})
 	workload := workloadHomedOn(t, g, "n1") // any fixed node; n1 keeps the test deterministic
 	body := quickSpec(workload)
 
@@ -229,7 +293,7 @@ func TestGatewayCacheAffinity(t *testing.T) {
 // the proxy hop, so a retried submission dedupes on the home backend
 // and returns the original (namespaced) job id.
 func TestGatewayIdempotencyKeyForward(t *testing.T) {
-	g, ts, handles := startHerd(t, 3)
+	g, ts, handles := startHerd(t, 3, herdOpts{})
 	workload := workloadHomedOn(t, g, "n0")
 	hdr := map[string]string{"Idempotency-Key": "retry-me"}
 
@@ -248,7 +312,7 @@ func TestGatewayIdempotencyKeyForward(t *testing.T) {
 // result, and cancel to the minting backend; malformed or unknown ids
 // are a clean 404.
 func TestGatewayResultAndCancelRouting(t *testing.T) {
-	g, ts, _ := startHerd(t, 3)
+	g, ts, _ := startHerd(t, 3, herdOpts{})
 	workload := workloadHomedOn(t, g, "n2")
 	st := submitVia(t, ts.URL, quickSpec(workload), nil)
 	waitDone(t, ts.URL, st.ID)
@@ -289,7 +353,7 @@ func TestGatewayResultAndCancelRouting(t *testing.T) {
 // jobs with namespaced ids, a fleet-wide total, and working
 // pagination.
 func TestGatewayListScatterGather(t *testing.T) {
-	_, ts, _ := startHerd(t, 3)
+	_, ts, _ := startHerd(t, 3, herdOpts{})
 	workloads := []string{"bitcount", "mcf", "gzip"}
 	ids := make(map[string]bool)
 	for _, wl := range workloads {
@@ -330,7 +394,7 @@ func TestGatewayListScatterGather(t *testing.T) {
 // backends' counters (the accounting identity reconciles herd-wide)
 // and carries the gateway's own sections.
 func TestGatewayMetricsAggregation(t *testing.T) {
-	_, ts, handles := startHerd(t, 3)
+	_, ts, handles := startHerd(t, 3, herdOpts{})
 	for _, wl := range []string{"bitcount", "mcf", "gzip", "crc32"} {
 		st := submitVia(t, ts.URL, quickSpec(wl), nil)
 		waitDone(t, ts.URL, st.ID)
@@ -373,7 +437,7 @@ func TestGatewayMetricsAggregation(t *testing.T) {
 // directly once membership has ejected the node — while other shards
 // keep their homes.
 func TestGatewayFailover(t *testing.T) {
-	g, ts, handles := startHerd(t, 3)
+	g, ts, handles := startHerd(t, 3, herdOpts{})
 	victim := handles[1]
 	victimWL := workloadHomedOn(t, g, victim.name)
 	survivorWL := workloadHomedOn(t, g, "n0")
@@ -473,7 +537,7 @@ func TestGatewaySpillOnBrownout(t *testing.T) {
 // and reassembles in order; resubmitting with the same idempotency
 // keys returns the same namespaced ids.
 func TestGatewayBatchSplit(t *testing.T) {
-	g, ts, _ := startHerd(t, 3)
+	g, ts, _ := startHerd(t, 3, herdOpts{})
 	workloads := []string{"bitcount", "mcf", "gzip", "crc32"}
 	req := server.BatchRequest{IdempotencyKeys: make([]string, len(workloads))}
 	for i, wl := range workloads {

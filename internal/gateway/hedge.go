@@ -56,29 +56,24 @@ func (e *latEstimator) p95() (time.Duration, bool) {
 	return samples[(n-1)*95/100], true
 }
 
-// hedger decides when a second attempt is worth firing: per-route-class
-// p95 estimators clamped into [min, max]. The max clamp matters when a
-// straggler is common enough to drag the p95 itself — the hedge then
-// fires at the clamp instead of chasing the inflated quantile, and the
-// retry budget caps the amplification either way.
-type hedger struct {
-	min, max time.Duration
+// The hedge delay's clamp. The max clamp matters when a straggler is
+// common enough to drag the p95 itself — the hedge then fires at the
+// clamp instead of chasing the inflated quantile, and the retry budget
+// caps the amplification either way.
+const (
+	hedgeDelayMin = 5 * time.Millisecond
+	hedgeDelayMax = 100 * time.Millisecond
+)
 
+// hedger decides when a second attempt is worth firing: per-route-class
+// p95 estimators clamped into [hedgeDelayMin, hedgeDelayMax].
+type hedger struct {
 	mu      sync.Mutex
 	classes map[string]*latEstimator
 }
 
-func newHedger(min, max time.Duration) *hedger {
-	if min <= 0 {
-		min = 5 * time.Millisecond
-	}
-	if max <= 0 {
-		max = 100 * time.Millisecond
-	}
-	if max < min {
-		max = min
-	}
-	return &hedger{min: min, max: max, classes: make(map[string]*latEstimator)}
+func newHedger() *hedger {
+	return &hedger{classes: make(map[string]*latEstimator)}
 }
 
 func (h *hedger) estimator(class string) *latEstimator {
@@ -103,11 +98,11 @@ func (h *hedger) delay(class string) (time.Duration, bool) {
 	if !ok {
 		return 0, false
 	}
-	if p < h.min {
-		p = h.min
+	if p < hedgeDelayMin {
+		p = hedgeDelayMin
 	}
-	if p > h.max {
-		p = h.max
+	if p > hedgeDelayMax {
+		p = hedgeDelayMax
 	}
 	return p, true
 }

@@ -51,7 +51,7 @@ func TestLatEstimatorP95(t *testing.T) {
 // [min, max] — the max clamp is what keeps hedging useful when a
 // straggler drags the p95 itself.
 func TestHedgerDelayClamps(t *testing.T) {
-	h := newHedger(5*time.Millisecond, 100*time.Millisecond)
+	h := newHedger()
 	if _, ok := h.delay(hedgeClassSubmit); ok {
 		t.Fatal("delay available with no samples")
 	}

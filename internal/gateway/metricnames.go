@@ -12,7 +12,7 @@ import "sort"
 // queue.*, ...) keep the backend wire names verbatim: they are summed
 // pass-through values, and the fleet-wide accounting identity
 // (submitted == hits+completed+failed+canceled+rejected) must
-// reconcile against the same keys chaosCheck already reads.
+// reconcile against the same keys loadgen.ChaosCheck already reads.
 //
 // The fleet-wide accounting identity survives aggregation only if the
 // merge is a structural sum: every numeric leaf combined with +, no

@@ -32,7 +32,7 @@ func TestFleetMetricNamesUnion(t *testing.T) {
 		t.Fatal("registry union has collisions; aggregation would fold distinct meanings into one key")
 	}
 
-	_, ts, _ := startHerd(t, 2)
+	_, ts, _ := startHerd(t, 2, herdOpts{})
 	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)

@@ -20,10 +20,10 @@ import (
 // pre-send — the fleet ends the test with exactly one copy of the job.
 func TestGatewayHedgedSubmitStraggler(t *testing.T) {
 	faults := faultinject.New()
-	g, ts, handles := startHerdWith(t, 3, func(c *Config) {
+	g, ts, handles := startHerd(t, 3, herdOpts{gw: func(c *Config) {
 		c.Hedge = true
 		c.Faults = faults
-	})
+	}})
 
 	// The straggler fault targets the lexically-last ring node.
 	if got := g.stragglerTarget(); got != "n2" {
@@ -90,10 +90,10 @@ func TestGatewayHedgedSubmitStraggler(t *testing.T) {
 // or wasted hedge never double-counts its node.
 func TestGatewayHedgedReadsNoDoubleCount(t *testing.T) {
 	faults := faultinject.New()
-	g, ts, _ := startHerdWith(t, 3, func(c *Config) {
+	g, ts, _ := startHerd(t, 3, herdOpts{gw: func(c *Config) {
 		c.Hedge = true
 		c.Faults = faults
-	})
+	}})
 	workloads := []string{"bitcount", "mcf", "gzip"}
 	ids := make(map[string]bool)
 	for _, wl := range workloads {
@@ -257,12 +257,12 @@ func TestGatewayRetryAfterCapped(t *testing.T) {
 // stays bounded even when every request is slow.
 func TestGatewayHedgeRespectsBudget(t *testing.T) {
 	faults := faultinject.New()
-	g, ts, _ := startHerdWith(t, 3, func(c *Config) {
+	g, ts, _ := startHerd(t, 3, herdOpts{gw: func(c *Config) {
 		c.Hedge = true
 		c.Faults = faults
 		c.RetryBudgetRatio = 0.001
 		c.RetryBudgetBurst = 0.5 // below one token: nothing to take, ever
-	})
+	}})
 	for i := 0; i < hedgeMinSamples; i++ {
 		g.hedger.observe(hedgeClassSubmit, 5*time.Millisecond)
 	}
@@ -292,7 +292,7 @@ func TestGatewayHedgeRespectsBudget(t *testing.T) {
 // without spending a token either.
 func TestBreakerDenialCostsNoRetry(t *testing.T) {
 	faults := faultinject.New()
-	g, ts, handles := startHerdWith(t, 2, func(c *Config) { c.Faults = faults })
+	g, ts, handles := startHerd(t, 2, herdOpts{gw: func(c *Config) { c.Faults = faults }})
 	tokens := func() float64 {
 		g.budget.mu.Lock()
 		defer g.budget.mu.Unlock()

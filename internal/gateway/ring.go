@@ -51,9 +51,12 @@ type ringPoint struct {
 	node string
 }
 
-// DefaultVNodes is the virtual-node count per backend when the
-// configuration does not say otherwise: enough that a 3–16 node herd's
-// shards stay within a few percent of uniform.
+// DefaultVNodes is the virtual-node count per backend: enough that a
+// 3–16 node herd's shards stay within a few percent of uniform. It is
+// fixed, not configurable, because routing and replication must agree
+// on it: replication chains pick each backend's successor with
+// NewRing(0), and a gateway on another vnode count would take a dead
+// node over onto a peer that never received its journal.
 const DefaultVNodes = 64
 
 // NewRing builds an empty ring; vnodes <= 0 means DefaultVNodes.

@@ -2,7 +2,6 @@ package gateway
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 	"io"
 	"net/http"
@@ -10,14 +9,12 @@ import (
 	"net/http/httputil"
 	"net/url"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"thermalherd/internal/clock"
 	"thermalherd/internal/faultinject"
-	"thermalherd/internal/replication"
 	"thermalherd/internal/server"
 	"thermalherd/internal/trace"
 )
@@ -127,7 +124,7 @@ func TestBreakerProbeSuccessHalfOpenSingleFlight(t *testing.T) {
 // gateway must count that hit (gw.failover_dedup_hits) — the proof
 // that the retry did not double-admit.
 func TestGatewayFailoverDedupCounted(t *testing.T) {
-	real := startBackend(t, "real")
+	real := startBackend(t, "real", nil)
 	target, err := url.Parse(real.ts.URL)
 	if err != nil {
 		t.Fatalf("parse backend url: %v", err)
@@ -194,82 +191,6 @@ func TestGatewayFailoverDedupCounted(t *testing.T) {
 	}
 }
 
-// startReplHerd builds n backends chained with sync successor
-// replication (each node streams its journal to its ring successor,
-// derived from the same vnode ring the gateway routes with) behind a
-// gateway armed for takeover. perNode can adjust each backend's
-// server.Config before it starts.
-func startReplHerd(t *testing.T, n int, perNode func(name string, cfg *server.Config), mutate func(*Config)) (*Gateway, *httptest.Server, []*backendHandle) {
-	t.Helper()
-	ring := NewRing(0)
-	names := make([]string, n)
-	for i := range names {
-		names[i] = fmt.Sprintf("n%d", i)
-		ring.Add(names[i])
-	}
-	var mu sync.Mutex
-	urls := make(map[string]string, n)
-	handles := make([]*backendHandle, n)
-	backends := make([]Backend, n)
-	for i, name := range names {
-		succ := ring.SuccessorOf(name)
-		repl, err := replication.New(replication.Options{
-			Policy: replication.PolicySync,
-			Origin: name,
-			Target: func() (string, string) {
-				mu.Lock()
-				defer mu.Unlock()
-				return succ, urls[succ]
-			},
-		})
-		if err != nil {
-			t.Fatalf("replication.New(%s): %v", name, err)
-		}
-		cfg := server.Config{Workers: 2, QueueDepth: 64, CacheSize: 64, NodeName: name, Repl: repl}
-		if perNode != nil {
-			perNode(name, &cfg)
-		}
-		s, err := server.New(cfg)
-		if err != nil {
-			t.Fatalf("server.New(%s): %v", name, err)
-		}
-		s.Start()
-		ts := httptest.NewServer(s)
-		t.Cleanup(func() {
-			ts.Close()
-			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-			defer cancel()
-			s.Drain(ctx)
-		})
-		mu.Lock()
-		urls[name] = ts.URL
-		mu.Unlock()
-		handles[i] = &backendHandle{name: name, srv: s, ts: ts}
-		backends[i] = Backend{Name: name, URL: ts.URL}
-	}
-	cfg := Config{
-		Backends:      backends,
-		ProbeInterval: time.Hour,
-		FailThreshold: 1,
-		TakeoverAfter: time.Millisecond,
-		AdminToken:    testAdminToken,
-	}
-	if mutate != nil {
-		mutate(&cfg)
-	}
-	g, err := New(cfg)
-	if err != nil {
-		t.Fatalf("gateway.New: %v", err)
-	}
-	g.Start()
-	gts := httptest.NewServer(g)
-	t.Cleanup(func() {
-		gts.Close()
-		g.Close()
-	})
-	return g, gts, handles
-}
-
 // TestGatewayTakeoverAdoptsDeadNode is the failover acceptance path at
 // the gateway layer: a job completes on its home node, the node dies,
 // membership marks it down past the takeover deadline, and the ring
@@ -281,7 +202,7 @@ func startReplHerd(t *testing.T, n int, perNode func(name string, cfg *server.Co
 func TestGatewayTakeoverAdoptsDeadNode(t *testing.T) {
 	before := runtime.NumGoroutine()
 	t.Run("scenario", func(t *testing.T) {
-		g, gts, handles := startReplHerd(t, 3, nil, nil)
+		g, gts, handles := startHerd(t, 3, herdOpts{repl: true})
 		const victim = "n1"
 		adopter := g.ring.SuccessorOf(victim)
 		workload := workloadRemappingTo(t, g, victim, adopter)
@@ -362,13 +283,13 @@ func TestGatewayDrainMigratesQueuedJobs(t *testing.T) {
 		if err := faults.Arm(server.FaultExec+"=delay:800ms", 1); err != nil {
 			t.Fatalf("arm exec delay: %v", err)
 		}
-		_, gts, handles := startReplHerd(t, 3, func(name string, cfg *server.Config) {
+		_, gts, handles := startHerd(t, 3, herdOpts{repl: true, node: func(name string, cfg *server.Config) {
 			if name == victim {
 				// Only the drain victim runs slow, so its queue backs up
 				// while the successor finishes adopted jobs promptly.
 				cfg.Faults = faults
 			}
-		}, nil)
+		}})
 		var victimURL string
 		for _, h := range handles {
 			if h.name == victim {

@@ -16,7 +16,7 @@ import (
 // /metrics document reconciles the per-tenant accounting identity
 // fleet-wide.
 func TestGatewayTenantForwarding(t *testing.T) {
-	_, ts, _ := startHerd(t, 2)
+	_, ts, _ := startHerd(t, 2, herdOpts{})
 
 	// Single submit with a tenant header.
 	st := submitVia(t, ts.URL, quickSpec("mcf"), map[string]string{server.TenantHeader: "live"})

@@ -158,14 +158,10 @@ func errorOf(body []byte, code int) error {
 }
 
 // Submit sends one job and returns its admitted (or cached) status.
-// A non-empty idemKey dedupes resubmissions on a journaling daemon.
-func (c *Client) Submit(ctx context.Context, spec server.Spec, idemKey string) (server.Status, error) {
-	return c.SubmitT(ctx, spec, idemKey, "")
-}
-
-// SubmitT is Submit with an explicit tenant: non-empty tenant rides
-// the X-Tenant-ID header so the daemon attributes and quotas the job.
-func (c *Client) SubmitT(ctx context.Context, spec server.Spec, idemKey, tenant string) (server.Status, error) {
+// A non-empty idemKey dedupes resubmissions on a journaling daemon; a
+// non-empty tenant rides the X-Tenant-ID header so the daemon
+// attributes and quotas the job ("" means the default tenant).
+func (c *Client) Submit(ctx context.Context, spec server.Spec, idemKey, tenant string) (server.Status, error) {
 	body, err := json.Marshal(spec)
 	if err != nil {
 		return server.Status{}, err
@@ -185,16 +181,10 @@ func (c *Client) SubmitT(ctx context.Context, spec server.Spec, idemKey, tenant 
 }
 
 // SubmitBatch sends specs through POST /v1/jobs:batch and returns the
-// per-spec outcomes in submission order. idemKeys, when non-nil, must
-// be one key per spec (empty strings opt individual specs out).
-func (c *Client) SubmitBatch(ctx context.Context, specs []server.Spec, idemKeys []string) ([]server.BatchItem, error) {
-	return c.SubmitBatchT(ctx, specs, idemKeys, nil)
-}
-
-// SubmitBatchT is SubmitBatch with per-spec tenants; tenants, when
-// non-nil, must be one tenant per spec (empty strings fall to the
-// daemon's default tenant).
-func (c *Client) SubmitBatchT(ctx context.Context, specs []server.Spec, idemKeys, tenants []string) ([]server.BatchItem, error) {
+// per-spec outcomes in submission order. idemKeys and tenants, when
+// non-nil, must be one per spec; an empty key opts its spec out of
+// dedup, an empty tenant falls to the daemon's default tenant.
+func (c *Client) SubmitBatch(ctx context.Context, specs []server.Spec, idemKeys, tenants []string) ([]server.BatchItem, error) {
 	if idemKeys != nil && len(idemKeys) != len(specs) {
 		return nil, fmt.Errorf("loadgen: %d idempotency keys for %d specs", len(idemKeys), len(specs))
 	}

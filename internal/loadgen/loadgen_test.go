@@ -3,31 +3,24 @@ package loadgen
 import (
 	"context"
 	"fmt"
-	"net/http/httptest"
 	"testing"
 	"time"
 
+	"thermalherd/internal/herd"
 	"thermalherd/internal/server"
 )
 
-// newDaemon hosts a real server.Server (real executor, load-test
-// simulation depths keep each job in the low milliseconds) behind
-// httptest for in-process full-loop runs.
-func newDaemon(t *testing.T) *httptest.Server {
+// newDaemon hosts a one-node herd (a real daemon; load-test
+// simulation depths keep each job in the low milliseconds) for
+// in-process full-loop runs and returns its base URL.
+func newDaemon(t *testing.T, cfg server.Config) string {
 	t.Helper()
-	s, err := server.New(server.Config{Workers: 4, QueueDepth: 256, CacheSize: 256})
+	h, err := herd.Start(herd.Config{Nodes: 1, Server: cfg})
 	if err != nil {
-		t.Fatalf("server.New: %v", err)
+		t.Fatalf("herd.Start: %v", err)
 	}
-	s.Start()
-	ts := httptest.NewServer(s)
-	t.Cleanup(func() {
-		ts.Close()
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		s.Drain(ctx)
-	})
-	return ts
+	t.Cleanup(h.Stop)
+	return h.URL
 }
 
 // testMix pins tiny depths so full-loop tests measure the service
@@ -57,7 +50,7 @@ func metricsCounter(t *testing.T, doc map[string]any, section, name string) floa
 // schedule and reconciles the client-side report against the server's
 // /metrics document.
 func TestFullLoopConstant(t *testing.T) {
-	ts := newDaemon(t)
+	url := newDaemon(t, server.Config{Workers: 4, QueueDepth: 256, CacheSize: 256})
 	sched, err := Synthesize(ScheduleConfig{Mode: ModeConstant, RPS: 60, Duration: 500 * time.Millisecond, Seed: 42})
 	if err != nil {
 		t.Fatal(err)
@@ -66,7 +59,7 @@ func TestFullLoopConstant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	client := NewClient(ts.URL, 2, 20*time.Millisecond, 1)
+	client := NewClient(url, 2, 20*time.Millisecond, 1)
 	rep, err := Run(context.Background(), RunConfig{
 		Client:       client,
 		Schedule:     sched,
@@ -127,7 +120,7 @@ func TestFullLoopConstant(t *testing.T) {
 // that many when nothing is dropped or retried), and the report must
 // still reconcile with /metrics.
 func TestFullLoopBurstBatched(t *testing.T) {
-	ts := newDaemon(t)
+	url := newDaemon(t, server.Config{Workers: 4, QueueDepth: 256, CacheSize: 256})
 	const batchSize = 8
 	sched, err := Synthesize(ScheduleConfig{
 		Mode: ModeBurst, RPS: 40, Duration: 600 * time.Millisecond,
@@ -141,7 +134,7 @@ func TestFullLoopBurstBatched(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	client := NewClient(ts.URL, 0, 20*time.Millisecond, 1)
+	client := NewClient(url, 0, 20*time.Millisecond, 1)
 	rep, err := Run(context.Background(), RunConfig{
 		Client:       client,
 		Schedule:     sched,
@@ -199,7 +192,7 @@ func TestFullLoopBurstBatched(t *testing.T) {
 // 1-deep in-flight bound and a server that answers slowly relative to
 // the arrival gaps, later arrivals are shed, not queued.
 func TestRunDropsWhenSaturated(t *testing.T) {
-	ts := newDaemon(t)
+	url := newDaemon(t, server.Config{Workers: 4, QueueDepth: 256, CacheSize: 256})
 	sched := make([]time.Duration, 20)
 	for i := range sched {
 		sched[i] = time.Duration(i) * time.Millisecond
@@ -214,7 +207,7 @@ func TestRunDropsWhenSaturated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	client := NewClient(ts.URL, 0, 10*time.Millisecond, 1)
+	client := NewClient(url, 0, 10*time.Millisecond, 1)
 	rep, err := Run(context.Background(), RunConfig{
 		Client:       client,
 		Schedule:     sched,
@@ -270,14 +263,12 @@ func TestBatchRetryAcrossRestartDedupes(t *testing.T) {
 		keys[i] = fmt.Sprintf("lg-7-%d", i)
 	}
 
-	s1, err := server.New(cfg)
+	h1, err := herd.Start(herd.Config{Nodes: 1, Server: cfg})
 	if err != nil {
-		t.Fatalf("server.New: %v", err)
+		t.Fatalf("herd.Start: %v", err)
 	}
-	s1.Start()
-	ts1 := httptest.NewServer(s1)
-	c1 := NewClient(ts1.URL, 2, 10*time.Millisecond, 1)
-	items, err := c1.SubmitBatch(context.Background(), specs, keys)
+	c1 := NewClient(h1.URL, 2, 10*time.Millisecond, 1)
+	items, err := c1.SubmitBatch(context.Background(), specs, keys, nil)
 	if err != nil {
 		t.Fatalf("SubmitBatch: %v", err)
 	}
@@ -302,26 +293,12 @@ func TestBatchRetryAcrossRestartDedupes(t *testing.T) {
 			time.Sleep(2 * time.Millisecond)
 		}
 	}
-	dctx, dcancel := context.WithTimeout(context.Background(), 10*time.Second)
-	s1.Drain(dctx)
-	dcancel()
-	ts1.Close()
+	h1.Stop()
 
 	// Restart on the same journal; the retried batch must dedupe.
-	s2, err := server.New(cfg)
-	if err != nil {
-		t.Fatalf("server.New (restart): %v", err)
-	}
-	s2.Start()
-	ts2 := httptest.NewServer(s2)
-	t.Cleanup(func() {
-		ts2.Close()
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		s2.Drain(ctx)
-	})
-	c2 := NewClient(ts2.URL, 2, 10*time.Millisecond, 1)
-	items2, err := c2.SubmitBatch(context.Background(), specs, keys)
+	url2 := newDaemon(t, cfg)
+	c2 := NewClient(url2, 2, 10*time.Millisecond, 1)
+	items2, err := c2.SubmitBatch(context.Background(), specs, keys, nil)
 	if err != nil {
 		t.Fatalf("SubmitBatch (retry): %v", err)
 	}

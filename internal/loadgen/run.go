@@ -50,26 +50,21 @@ type RunConfig struct {
 	// partially completed run with it. Skipped arrivals are not counted
 	// as drops.
 	StartIndex int
-	// OnAcked, when set, is called with an arrival's schedule index
-	// after the daemon acknowledges its submission. It may be called
-	// concurrently and out of order; the caller is responsible for any
-	// ordering (thermload advances its resume frontier only over a
-	// contiguous prefix). Arrivals whose submission errors are never
-	// reported through either callback — they remain unsettled.
-	OnAcked func(index int)
+	// OnAcked, when set, is called with an arrival's schedule index and
+	// daemon-assigned job id after the daemon acknowledges its
+	// submission. It may be called concurrently and out of order; the
+	// caller is responsible for any ordering (thermload advances its
+	// resume frontier only over a contiguous prefix, and collects the
+	// ids for its post-run acked-loss audit). Arrivals whose submission
+	// errors are never reported through either callback — they remain
+	// unsettled.
+	OnAcked func(index int, id string)
 	// OnShed, when set, is called with the schedule index of an arrival
 	// dropped by the open-loop in-flight bound. A shed is a deliberate,
 	// final disposition (the run counts it as a drop and never sends
 	// it), so thermload treats it like an ack when advancing its resume
 	// frontier rather than replaying it.
 	OnShed func(index int)
-	// OnSubmitted, when set, is called with the daemon-assigned job id
-	// of every acknowledged submission. thermload's failover
-	// reconciliation collects these and re-polls each to a terminal
-	// state after the run — the acked-job-loss audit a replication A/B
-	// is judged on. Like OnAcked it may be called concurrently and out
-	// of order.
-	OnSubmitted func(index int, id string)
 	// Clock supplies the run's time source; nil means the wall clock.
 	// Tests inject a clock.Fake to drive the schedule synchronously.
 	Clock clock.Clock
@@ -197,17 +192,14 @@ func fireOne(ctx context.Context, cfg RunConfig, rec *recorder, sem chan struct{
 	defer func() { <-sem }()
 	rctx, cancel := context.WithDeadline(ctx, a.at.Add(cfg.Timeout))
 	defer cancel()
-	st, err := cfg.Client.SubmitT(rctx, a.spec, idemKey(cfg.Seed, a.idx), a.tenant)
+	st, err := cfg.Client.Submit(rctx, a.spec, idemKey(cfg.Seed, a.idx), a.tenant)
 	if err != nil {
 		rec.submitError(rctx)
 		return
 	}
 	rec.submitted()
 	if cfg.OnAcked != nil {
-		cfg.OnAcked(a.idx)
-	}
-	if cfg.OnSubmitted != nil {
-		cfg.OnSubmitted(a.idx, st.ID)
+		cfg.OnAcked(a.idx, st.ID)
 	}
 	track(rctx, cfg, rec, a, st)
 }
@@ -232,7 +224,7 @@ func fireBatch(ctx context.Context, cfg RunConfig, rec *recorder, sem chan struc
 			tenants[i] = a.tenant
 		}
 	}
-	items, err := cfg.Client.SubmitBatchT(bctx, specs, keys, tenants)
+	items, err := cfg.Client.SubmitBatch(bctx, specs, keys, tenants)
 	cancel()
 	if err != nil {
 		rec.batchError(bctx, len(batch))
@@ -253,10 +245,7 @@ func fireBatch(ctx context.Context, cfg RunConfig, rec *recorder, sem chan struc
 		}
 		rec.submitted()
 		if cfg.OnAcked != nil {
-			cfg.OnAcked(a.idx)
-		}
-		if cfg.OnSubmitted != nil {
-			cfg.OnSubmitted(a.idx, item.Status.ID)
+			cfg.OnAcked(a.idx, item.Status.ID)
 		}
 		wg.Add(1)
 		go func(a arrival, st server.Status) {

@@ -16,7 +16,7 @@ import (
 // acctid analyzer proves that every submitted increment is settled by
 // exactly one right-hand-side increment on every return path (or is
 // explicitly handed off to a later settle), so the reconciliation
-// chaosCheck asserts can never drift by construction.
+// loadgen.ChaosCheck asserts can never drift by construction.
 //
 //thermlint:identity metrics: submitted = cacheHits + completed + failed + canceled + rejected + migrated
 type metrics struct {

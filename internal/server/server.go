@@ -196,6 +196,28 @@ type Config struct {
 	Clock clock.Clock
 }
 
+// ParseTenantWeights parses a "live=4,batch=1" flag value into
+// Config.TenantWeights; "" is nil. Every weight must be a positive
+// integer.
+func ParseTenantWeights(s string) (map[string]int, error) {
+	if s == "" {
+		return nil, nil
+	}
+	weights := make(map[string]int)
+	for _, part := range strings.Split(s, ",") {
+		name, val, ok := strings.Cut(strings.TrimSpace(part), "=")
+		if !ok || name == "" {
+			return nil, fmt.Errorf("bad tenant weight %q (want tenant=N)", part)
+		}
+		w, err := strconv.Atoi(val)
+		if err != nil || w < 1 {
+			return nil, fmt.Errorf("bad tenant weight %q: want a positive integer", part)
+		}
+		weights[name] = w
+	}
+	return weights, nil
+}
+
 // Server is the simulation-as-a-service daemon. Create one with New,
 // launch the worker pool with Start, serve it with net/http (it
 // implements http.Handler), and stop it with Drain.
