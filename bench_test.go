@@ -232,12 +232,15 @@ func BenchmarkGeneratorThroughput(b *testing.B) {
 }
 
 // BenchmarkSimulatorThroughput measures cycle-level simulation speed
-// (100k instructions per op).
+// (100k instructions per op, from a cold core) and reports it per
+// committed instruction.
 func BenchmarkSimulatorThroughput(b *testing.B) {
 	prof, err := trace.ProfileByName("gzip")
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
+	var insts uint64
 	for i := 0; i < b.N; i++ {
 		c, err := cpu.New(config.ThreeD(), trace.NewGenerator(prof))
 		if err != nil {
@@ -247,7 +250,9 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 		if s.Insts == 0 {
 			b.Fatal("no instructions committed")
 		}
+		insts += s.Insts
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(insts), "ns/inst")
 }
 
 // --- Extension studies beyond the paper's figures ---

@@ -4,7 +4,10 @@
 // L1/L2/DRAM hierarchy with the Table 1 parameters.
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Config describes one cache level.
 type Config struct {
@@ -29,7 +32,8 @@ type Cache struct {
 	// touches a small fraction of a 4 MB L2's sets.
 	sets    [][]line
 	setMask uint64
-	lineLg  uint
+	setLg   int // log2 of the set count: the tag starts this far above the index
+	lineLg  int
 
 	accesses   uint64
 	misses     uint64
@@ -57,11 +61,13 @@ func New(cfg Config) *Cache {
 	if nsets <= 0 || nsets&(nsets-1) != 0 {
 		panic(fmt.Sprintf("cache %s: set count %d must be a positive power of two", cfg.Name, nsets))
 	}
-	c := &Cache{cfg: cfg, sets: make([][]line, nsets), setMask: uint64(nsets - 1)}
-	for l := cfg.LineSize; l > 1; l >>= 1 {
-		c.lineLg++
+	return &Cache{
+		cfg:     cfg,
+		sets:    make([][]line, nsets),
+		setMask: uint64(nsets - 1),
+		setLg:   bits.TrailingZeros(uint(nsets)),
+		lineLg:  bits.TrailingZeros(uint(cfg.LineSize)),
 	}
-	return c
 }
 
 // Config returns the cache's configuration.
@@ -69,15 +75,7 @@ func (c *Cache) Config() Config { return c.cfg }
 
 func (c *Cache) index(addr uint64) (set, tag uint64) {
 	blk := addr >> c.lineLg
-	return blk & c.setMask, blk >> popcount(c.setMask)
-}
-
-func popcount(x uint64) int {
-	n := 0
-	for ; x != 0; x &= x - 1 {
-		n++
-	}
-	return n
+	return blk & c.setMask, blk >> c.setLg
 }
 
 // Access looks up addr, allocating on miss (write-allocate). It returns

@@ -144,10 +144,15 @@ func (a *HerdingAllocator) Broadcast() (diesDriven int) {
 
 // ObserveOccupancy samples per-die occupancy (call once per simulated
 // cycle) for the thermal-herding effectiveness metrics.
-func (a *HerdingAllocator) ObserveOccupancy() {
-	a.occupancyObs++
+func (a *HerdingAllocator) ObserveOccupancy() { a.ObserveOccupancyN(1) }
+
+// ObserveOccupancyN records k samples of the current per-die occupancy:
+// the same as k calls to ObserveOccupancy, for a span of cycles in which
+// the occupancy cannot change.
+func (a *HerdingAllocator) ObserveOccupancyN(k uint64) {
+	a.occupancyObs += k
 	for d := 0; d < NumDies; d++ {
-		a.occupancySum[d] += uint64(a.occupied[d])
+		a.occupancySum[d] += k * uint64(a.occupied[d])
 	}
 }
 

@@ -1,6 +1,9 @@
 package core
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 func TestHerdedAllocatorFillsTopDieFirst(t *testing.T) {
 	a := NewHerdingAllocator(32, AllocHerded)
@@ -140,6 +143,30 @@ func TestAllocatorOccupancySampling(t *testing.T) {
 	}
 	if got := a.MeanOccupancy(1); got != 0 {
 		t.Errorf("mean die-1 occupancy = %g, want 0", got)
+	}
+}
+
+func TestObserveOccupancyNMatchesRepeatedCalls(t *testing.T) {
+	bulk := NewHerdingAllocator(16, AllocRoundRobin)
+	single := NewHerdingAllocator(16, AllocRoundRobin)
+	for step, k := range []uint64{0, 1, 5, 37, 2} {
+		// Uneven per-die occupancy that changes between samples.
+		for i := 0; i <= step; i++ {
+			bulk.Allocate()
+			single.Allocate()
+		}
+		bulk.ObserveOccupancyN(k)
+		for i := uint64(0); i < k; i++ {
+			single.ObserveOccupancy()
+		}
+		if !reflect.DeepEqual(bulk, single) {
+			t.Fatalf("after ObserveOccupancyN(%d): %+v, want %+v", k, bulk, single)
+		}
+	}
+	for d := 0; d < NumDies; d++ {
+		if bulk.MeanOccupancy(d) != single.MeanOccupancy(d) {
+			t.Errorf("die %d: mean occupancy %g, want %g", d, bulk.MeanOccupancy(d), single.MeanOccupancy(d))
+		}
 	}
 }
 

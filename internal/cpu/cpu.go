@@ -12,10 +12,23 @@
 // bubbles, the herded scheduler allocator, and partial address
 // memoization — while accounting switching activity per die for the
 // power and thermal models.
+//
+// Inside its cycle loop the model is event-driven. Dispatched
+// instructions wait in an age-ordered wait list (the reservation-station
+// contents, at most RSSize entries), and issue examines only that list,
+// oldest first. Issued instructions sit in a min-heap keyed by the cycle
+// their result arrives, from which writeback pops exactly those finishing
+// this cycle. When no stage can act — typically while a cache miss is
+// outstanding — the loop jumps straight to the next cycle in which one
+// can, charging the skipped cycles to the occupancy statistics. None of
+// this changes a result: every Stats field is bit-identical to stepping
+// each cycle and scanning the whole ROB, which TestStatsDigestsPinned
+// checks against digests taken from that original model.
 package cpu
 
 import (
 	"fmt"
+	"math"
 
 	"thermalherd/internal/cache"
 	"thermalherd/internal/config"
@@ -28,38 +41,29 @@ import (
 
 const numArchRegs = 64 // 32 int + 32 fp in the shared rename space
 
-type robState uint8
-
-const (
-	stDispatched robState = iota
-	stIssued
-	stDone
-)
-
-type robEntry struct {
-	inst     trace.Inst
-	state    robState
-	rs       core.Entry
-	inRS     bool
-	complete uint64 // cycle the result is available
-
+type fetchSlot struct {
+	inst         trace.Inst
 	predictedLow bool
 	hasWidthPred bool
 	opAnyFull    bool // an integer operand was full-width (program order)
 	srcFull      [2]bool
 	resultLow    bool
 	mispredicted bool // branch direction/target misprediction
-	fpLoad       bool
 }
 
-type fetchSlot struct {
-	inst         trace.Inst
-	predictedLow bool
-	hasWidthPred bool
-	opAnyFull    bool
-	srcFull      [2]bool
-	resultLow    bool
-	mispredicted bool
+// robEntry is one in-flight instruction. Until it issues it is listed in
+// Core.waiting; until its result arrives, in Core.inflight.
+type robEntry struct {
+	fetchSlot
+	rs     core.Entry
+	done   bool // result written back; the entry may commit
+	fpLoad bool
+}
+
+// inflightEntry is one issued instruction in the completion heap.
+type inflightEntry struct {
+	complete uint64 // cycle the result is available
+	rob      int
 }
 
 // Core is one simulated processor core.
@@ -84,15 +88,19 @@ type Core struct {
 	robHead  int
 	robTail  int
 	robCount int
-	ifq      []fetchSlot
+	// waiting holds the ROB indices of the dispatched, not yet issued
+	// instructions, oldest first; its length is the reservation-station
+	// occupancy.
+	waiting []int
+	// inflight is a min-heap on complete of the issued instructions
+	// whose results have not arrived.
+	inflight []inflightEntry
 
-	// Compact mirrors of the hot ROB fields, scanned every cycle by
-	// the issue logic; keeping them in dense arrays (rather than
-	// walking the large robEntry structs) is a significant
-	// simulation-speed win.
-	robState    []robState
-	robComplete []uint64
-	robSrc      [][2]int16
+	// ifq is the fetch queue: a ring of IFQSize slots holding ifqLen
+	// instructions from ifqHead on.
+	ifq     []fetchSlot
+	ifqHead int
+	ifqLen  int
 
 	regReady [numArchRegs]uint64
 	// regIsLow tracks, in program order at fetch time, whether each
@@ -102,9 +110,11 @@ type Core struct {
 	regIsLow [numArchRegs]bool
 
 	lqUsed, sqUsed int
-	// sqAddrs holds the 8-byte-aligned addresses of in-flight stores
-	// (dispatched, not yet committed) for store-to-load forwarding.
-	sqAddrs map[uint64]int
+	// sq holds the 8-byte-aligned addresses of the in-flight stores
+	// (dispatched, not yet committed) for store-to-load forwarding: a
+	// ring of SQSize slots holding sqUsed addresses, oldest at sqHead.
+	sq     []uint64
+	sqHead int
 
 	cycle            uint64
 	fetchResumeAt    uint64
@@ -196,26 +206,24 @@ func New(cfg config.Machine, src trace.Source) (*Core, error) {
 	l1d := cache.New(cache.Config{Name: "l1d", Size: cfg.L1Size, Ways: cfg.L1Ways, LineSize: cfg.LineSize})
 	l2 := cache.New(cache.Config{Name: "l2", Size: cfg.L2Size, Ways: cfg.L2Ways, LineSize: cfg.LineSize})
 	c := &Core{
-		cfg:     cfg,
-		src:     src,
-		bpred:   predictor.NewHybrid(),
-		btb:     predictor.NewBTB(cfg.BTBEntries, cfg.BTBWays),
-		ibtb:    predictor.NewIndirectBTB(cfg.IBTBEntries, cfg.IBTBWays),
-		ras:     predictor.NewRAS(cfg.RASDepth),
-		il1:     cache.New(cache.Config{Name: "l1i", Size: cfg.L1Size, Ways: cfg.L1Ways, LineSize: cfg.LineSize}),
-		itlb:    cache.NewTLB("itlb", cfg.ITLBEntries, cfg.TLBWays),
-		dtlb:    cache.NewTLB("dtlb", cfg.DTLBEntries, cfg.TLBWays),
-		dmem:    cache.NewHierarchy(l1d, l2, cfg.L1Latency, cfg.L2Latency, cfg.DRAMCycles()),
-		wpred:   core.NewWidthPredictor(cfg.WidthPredEntries),
-		rsAlloc: core.NewHerdingAllocator(cfg.RSSize, cfg.AllocPolicy),
-		pam:     core.NewAddressMemo(),
-		rob:     make([]robEntry, cfg.ROBSize),
-		ifq:     make([]fetchSlot, 0, cfg.IFQSize),
-		sqAddrs: make(map[uint64]int, cfg.SQSize),
-
-		robState:    make([]robState, cfg.ROBSize),
-		robComplete: make([]uint64, cfg.ROBSize),
-		robSrc:      make([][2]int16, cfg.ROBSize),
+		cfg:      cfg,
+		src:      src,
+		bpred:    predictor.NewHybrid(),
+		btb:      predictor.NewBTB(cfg.BTBEntries, cfg.BTBWays),
+		ibtb:     predictor.NewIndirectBTB(cfg.IBTBEntries, cfg.IBTBWays),
+		ras:      predictor.NewRAS(cfg.RASDepth),
+		il1:      cache.New(cache.Config{Name: "l1i", Size: cfg.L1Size, Ways: cfg.L1Ways, LineSize: cfg.LineSize}),
+		itlb:     cache.NewTLB("itlb", cfg.ITLBEntries, cfg.TLBWays),
+		dtlb:     cache.NewTLB("dtlb", cfg.DTLBEntries, cfg.TLBWays),
+		dmem:     cache.NewHierarchy(l1d, l2, cfg.L1Latency, cfg.L2Latency, cfg.DRAMCycles()),
+		wpred:    core.NewWidthPredictor(cfg.WidthPredEntries),
+		rsAlloc:  core.NewHerdingAllocator(cfg.RSSize, cfg.AllocPolicy),
+		pam:      core.NewAddressMemo(),
+		rob:      make([]robEntry, cfg.ROBSize),
+		waiting:  make([]int, 0, cfg.RSSize),
+		inflight: make([]inflightEntry, 0, cfg.ROBSize),
+		ifq:      make([]fetchSlot, cfg.IFQSize),
+		sq:       make([]uint64, cfg.SQSize),
 	}
 	for i := range c.regIsLow {
 		c.regIsLow[i] = true
@@ -307,24 +315,79 @@ func (c *Core) ResetStats() {
 func (c *Core) runLoop(targetInsts uint64) (occROB, occRS uint64) {
 	startCycle := c.cycle
 	for c.stats.Insts < targetInsts {
+		// Jump over the cycles in which no stage can act. Nothing
+		// changes during them, so each adds the same occupancy sample.
+		next, ok := c.nextEvent()
+		if !ok && !c.drained() {
+			c.wedged()
+		}
+		if k := next - c.cycle; ok && k > 0 {
+			occROB += k * uint64(c.robCount)
+			occRS += k * uint64(len(c.waiting))
+			c.rsAlloc.ObserveOccupancyN(k)
+			c.cycle = next
+		}
+
 		c.commit()
 		c.issue()
 		c.dispatch()
 		c.fetch()
 		occROB += uint64(c.robCount)
-		occRS += uint64(c.rsAlloc.Capacity() - c.rsAlloc.Free())
+		occRS += uint64(len(c.waiting))
 		c.rsAlloc.ObserveOccupancy()
 		c.cycle++
-		if c.srcDone && c.robCount == 0 && len(c.ifq) == 0 {
+		if c.drained() {
 			break
 		}
 		// Safety valve: a stuck pipeline is a bug, not a result.
 		if c.cycle-startCycle > 1000*targetInsts+1_000_000 {
-			panic(fmt.Sprintf("cpu: pipeline wedged at cycle %d with %d insts committed",
-				c.cycle, c.stats.Insts))
+			c.wedged()
 		}
 	}
 	return occROB, occRS
+}
+
+// drained reports whether the source is exhausted and every fetched
+// instruction has committed.
+func (c *Core) drained() bool { return c.srcDone && c.robCount == 0 && c.ifqLen == 0 }
+
+func (c *Core) wedged() {
+	panic(fmt.Sprintf("cpu: pipeline wedged at cycle %d with %d insts committed",
+		c.cycle, c.stats.Insts))
+}
+
+// nextEvent returns the first cycle, from the current one on, in which
+// some stage can change state; ok is false if none ever can. Every
+// time-dependent condition of commit, issue, writeback, dispatch and
+// fetch compares the cycle with one of the times below, and only those
+// stages move the times, so every stage idles in each earlier cycle.
+func (c *Core) nextEvent() (next uint64, ok bool) {
+	now := c.cycle
+	if c.robCount > 0 && c.rob[c.robHead].done {
+		return now, true // commit
+	}
+	next = math.MaxUint64
+	if !c.redirectPending && !c.srcDone && c.ifqLen < c.cfg.IFQSize {
+		next = c.fetchResumeAt
+	}
+	if c.ifqLen > 0 && c.ifqHeadFits() {
+		next = min(next, c.dispatchBlockedU)
+	}
+	if len(c.inflight) > 0 {
+		next = min(next, c.inflight[0].complete) // writeback
+	}
+	for i := 0; i < len(c.waiting) && next > now; i++ {
+		in := &c.rob[c.waiting[i]].inst
+		t := c.operandsReadyAt(in)
+		switch in.Class {
+		case isa.ClassMulDiv:
+			t = max(t, c.mulDivFree)
+		case isa.ClassFPDiv:
+			t = max(t, c.fpDivFree)
+		}
+		next = min(next, t)
+	}
+	return max(next, now), next != math.MaxUint64
 }
 
 func (c *Core) finalizeStats(occROB, occRS uint64) {
@@ -390,13 +453,16 @@ func (c *Core) fetch() {
 	if c.redirectPending || c.cycle < c.fetchResumeAt || c.srcDone {
 		return
 	}
-	for fetched := 0; fetched < c.cfg.FetchWidth && len(c.ifq) < c.cfg.IFQSize; fetched++ {
-		in, ok := c.src.Next()
+	for fetched := 0; fetched < c.cfg.FetchWidth && c.ifqLen < c.cfg.IFQSize; fetched++ {
+		next, ok := c.src.Next()
 		if !ok {
 			c.srcDone = true
 			return
 		}
-		slot := fetchSlot{inst: in}
+		slot := &c.ifq[(c.ifqHead+c.ifqLen)%c.cfg.IFQSize]
+		*slot = fetchSlot{inst: next}
+		c.ifqLen++
+		in := &slot.inst
 
 		// I-cache and ITLB.
 		c.recordActivity(floorplan.BlkICache, core.NumDies)
@@ -435,7 +501,7 @@ func (c *Core) fetch() {
 
 		// Width prediction happens in the front end so gating control
 		// reaches the register file ahead of the access.
-		if actualLow, relevant := c.actualWidthClass(&slot); relevant {
+		if actualLow, relevant := c.actualWidthClass(slot); relevant {
 			slot.hasWidthPred = true
 			slot.predictedLow = c.predictWidth(in.PC, actualLow)
 			if c.cfg.WidthPolicy == core.PolicyTwoBit {
@@ -450,9 +516,8 @@ func (c *Core) fetch() {
 
 		// Control flow.
 		if in.IsCtrl() {
-			mispred, extraBubble := c.predictControl(&in)
+			mispred, extraBubble := c.predictControl(in)
 			slot.mispredicted = mispred
-			c.ifq = append(c.ifq, slot)
 			if mispred {
 				// Fetch stops until the branch resolves.
 				c.redirectPending = true
@@ -465,9 +530,7 @@ func (c *Core) fetch() {
 				c.fetchResumeAt = c.cycle + 1 + extraBubble
 				return
 			}
-			continue
 		}
-		c.ifq = append(c.ifq, slot)
 	}
 }
 
@@ -577,22 +640,13 @@ func (c *Core) dispatch() {
 		return
 	}
 	groupHadUnsafe := false
-	for n := 0; n < c.cfg.DecodeWidth && len(c.ifq) > 0; n++ {
-		slot := c.ifq[0]
+	for n := 0; n < c.cfg.DecodeWidth && c.ifqLen > 0; n++ {
+		if !c.ifqHeadFits() {
+			break
+		}
+		slot := &c.ifq[c.ifqHead]
 		in := &slot.inst
-		if c.robCount == c.cfg.ROBSize {
-			break
-		}
-		if in.Class == isa.ClassLoad && c.lqUsed == c.cfg.LQSize {
-			break
-		}
-		if in.Class == isa.ClassStore && c.sqUsed == c.cfg.SQSize {
-			break
-		}
-		rsEntry, ok := c.rsAlloc.Allocate()
-		if !ok {
-			break
-		}
+		rsEntry, _ := c.rsAlloc.Allocate() // ifqHeadFits saw a free entry
 
 		// Register file read with width prediction (TH only): an
 		// operand whose architectural value is full-width read under a
@@ -610,25 +664,15 @@ func (c *Core) dispatch() {
 			slot.predictedLow = false
 			c.wpred.CorrectOverride(in.PC)
 		}
-		c.chargeRegisterRead(&slot, slot.predictedLow && c.herding())
+		c.chargeRegisterRead(slot, slot.predictedLow && c.herding())
 		c.recordActivity(floorplan.BlkRename, core.NumDies)
 
-		e := robEntry{
-			inst:         *in,
-			state:        stDispatched,
-			rs:           rsEntry,
-			inRS:         true,
-			predictedLow: slot.predictedLow,
-			hasWidthPred: slot.hasWidthPred,
-			opAnyFull:    slot.opAnyFull,
-			srcFull:      slot.srcFull,
-			resultLow:    slot.resultLow,
-			mispredicted: slot.mispredicted,
-			fpLoad:       in.Class == isa.ClassLoad && in.Dest >= trace.FPBase,
+		c.rob[c.robTail] = robEntry{
+			fetchSlot: *slot,
+			rs:        rsEntry,
+			fpLoad:    in.Class == isa.ClassLoad && in.Dest >= trace.FPBase,
 		}
-		c.rob[c.robTail] = e
-		c.robState[c.robTail] = stDispatched
-		c.robSrc[c.robTail] = [2]int16{in.Src1, in.Src2}
+		c.waiting = append(c.waiting, c.robTail)
 		c.robTail = (c.robTail + 1) % c.cfg.ROBSize
 		c.robCount++
 		// RS entry write: with herding, a low-width instruction's
@@ -646,10 +690,11 @@ func (c *Core) dispatch() {
 		case isa.ClassLoad:
 			c.lqUsed++
 		case isa.ClassStore:
+			c.sq[(c.sqHead+c.sqUsed)%c.cfg.SQSize] = in.MemAddr &^ 7
 			c.sqUsed++
-			c.sqAddrs[in.MemAddr&^7]++
 		}
-		c.ifq = c.ifq[1:]
+		c.ifqHead = (c.ifqHead + 1) % c.cfg.IFQSize
+		c.ifqLen--
 	}
 	if groupHadUnsafe {
 		// The whole group stalls one cycle (at most one per group
@@ -658,6 +703,22 @@ func (c *Core) dispatch() {
 		c.stats.RFGroupStalls++
 		c.dispatchBlockedU = c.cycle + 2
 	}
+}
+
+// ifqHeadFits reports whether the instruction at the head of the fetch
+// queue has room to dispatch: a ROB entry, an RS entry, and an LQ or SQ
+// entry if it is a load or store.
+func (c *Core) ifqHeadFits() bool {
+	if c.robCount == c.cfg.ROBSize || c.rsAlloc.Free() == 0 {
+		return false
+	}
+	switch c.ifq[c.ifqHead].inst.Class {
+	case isa.ClassLoad:
+		return c.lqUsed < c.cfg.LQSize
+	case isa.ClassStore:
+		return c.sqUsed < c.cfg.SQSize
+	}
+	return true
 }
 
 // operandFull reports whether the architectural register's latest
@@ -710,93 +771,110 @@ func (c *Core) issue() {
 		memPorts: c.cfg.MemPorts, loadPorts: c.cfg.LoadPorts,
 	}
 	issued := 0
-	size := c.cfg.ROBSize
-	for i, idx := 0, c.robHead; i < c.robCount && issued < c.cfg.IssueWidth; i++ {
-		if c.robState[idx] != stDispatched || !c.srcsReady(idx) {
-			idx++
-			if idx == size {
-				idx = 0
-			}
-			continue
+	// Walk the wait list oldest first, compacting it in place: issue
+	// order matters, since executeLatency drives the TLB, caches and PAM.
+	kept := c.waiting[:0]
+	for i, idx := range c.waiting {
+		if issued == c.cfg.IssueWidth {
+			kept = append(kept, c.waiting[i:]...)
+			break
 		}
 		e := &c.rob[idx]
-		if !c.takeFU(&budget, &e.inst) {
-			idx++
-			if idx == size {
-				idx = 0
-			}
+		if c.operandsReadyAt(&e.inst) > c.cycle || !c.takeFU(&budget, &e.inst) {
+			kept = append(kept, idx)
 			continue
 		}
 		lat, ok := c.executeLatency(e)
 		if !ok {
-			idx++
-			if idx == size {
-				idx = 0
-			}
-			continue // non-pipelined unit busy
+			kept = append(kept, idx) // non-pipelined unit busy
+			continue
 		}
-		e.state = stIssued
-		c.robState[idx] = stIssued
-		e.complete = c.cycle + uint64(lat)
-		c.robComplete[idx] = e.complete
+		complete := c.cycle + uint64(lat)
+		c.pushInflight(inflightEntry{complete: complete, rob: idx})
 		if e.inst.Dest != trace.RegNone {
-			c.regReady[e.inst.Dest] = e.complete
+			c.regReady[e.inst.Dest] = complete
 		}
 		issued++
 
 		// Scheduler: issue frees the RS entry and broadcasts the tag.
-		if e.inRS {
-			c.rsAlloc.Release(e.rs)
-			e.inRS = false
-		}
+		c.rsAlloc.Release(e.rs)
 		c.rsAlloc.Broadcast()
+		c.stats.BlockAccesses[floorplan.BlkRS]++
 		if !c.threeDPartitioned() {
-			c.stats.BlockAccesses[floorplan.BlkRS]++
 			c.stats.BlockDie[floorplan.BlkRS].RecordAccess(1)
-		} else {
-			c.stats.BlockAccesses[floorplan.BlkRS]++
-			// Broadcast activity is merged from the allocator at the
-			// end of the run (it already tracks per-die gating).
 		}
+		// (3D broadcast activity is merged from the allocator at the
+		// end of the run; it already tracks per-die gating.)
 		c.chargeExecActivity(e)
 
 		if e.mispredicted {
-			// The branch resolves at e.complete; the front end
-			// restarts after the redirect penalty.
-			c.fetchResumeAt = e.complete + uint64(c.cfg.MispredictRedirect)
+			// The branch resolves at complete; the front end restarts
+			// after the redirect penalty.
+			c.fetchResumeAt = complete + uint64(c.cfg.MispredictRedirect)
 			c.redirectPending = false
 		}
-		idx++
-		if idx == size {
-			idx = 0
-		}
 	}
-	// Advance ROB entry states whose completion time has arrived.
-	for i, idx := 0, c.robHead; i < c.robCount; i++ {
-		if c.robState[idx] == stIssued && c.robComplete[idx] <= c.cycle {
-			c.robState[idx] = stDone
-			e := &c.rob[idx]
-			e.state = stDone
-			c.writeback(e)
-		}
-		idx++
-		if idx == size {
-			idx = 0
-		}
+	c.waiting = kept
+
+	// Write back the results that arrive this cycle.
+	for len(c.inflight) > 0 && c.inflight[0].complete <= c.cycle {
+		e := &c.rob[c.popInflight()]
+		e.done = true
+		c.writeback(e)
 	}
 }
 
-// srcsReady reports whether the ROB entry's source operands are
-// available this cycle.
-func (c *Core) srcsReady(idx int) bool {
-	src := &c.robSrc[idx]
-	if src[0] != trace.RegNone && c.regReady[src[0]] > c.cycle {
-		return false
+// operandsReadyAt returns the first cycle in which both of the
+// instruction's source operands are available.
+func (c *Core) operandsReadyAt(in *trace.Inst) uint64 {
+	var t uint64
+	if in.Src1 != trace.RegNone {
+		t = c.regReady[in.Src1]
 	}
-	if src[1] != trace.RegNone && c.regReady[src[1]] > c.cycle {
-		return false
+	if in.Src2 != trace.RegNone {
+		t = max(t, c.regReady[in.Src2])
 	}
-	return true
+	return t
+}
+
+// pushInflight adds an issued instruction to the completion heap.
+func (c *Core) pushInflight(x inflightEntry) {
+	h := append(c.inflight, x)
+	for i := len(h) - 1; i > 0; {
+		p := (i - 1) / 2
+		if h[p].complete <= h[i].complete {
+			break
+		}
+		h[p], h[i] = h[i], h[p]
+		i = p
+	}
+	c.inflight = h
+}
+
+// popInflight removes the earliest-completing instruction from the
+// completion heap and returns its ROB index.
+func (c *Core) popInflight() int {
+	h := c.inflight
+	top := h[0].rob
+	n := len(h) - 1
+	h[0] = h[n]
+	h = h[:n]
+	for i := 0; ; {
+		m := 2*i + 1
+		if m >= n {
+			break
+		}
+		if r := m + 1; r < n && h[r].complete < h[m].complete {
+			m = r
+		}
+		if h[i].complete <= h[m].complete {
+			break
+		}
+		h[i], h[m] = h[m], h[i]
+		i = m
+	}
+	c.inflight = h
+	return top
 }
 
 func (c *Core) takeFU(b *fuBudget, in *trace.Inst) bool {
@@ -911,7 +989,7 @@ func (c *Core) loadLatency(e *robEntry) int {
 	// queue, skipping the cache. (The model's dependence resolution is
 	// conservative: an address match suffices; real designs also check
 	// age and size.)
-	if c.sqAddrs[in.MemAddr&^7] > 0 {
+	if c.storeInFlight(in.MemAddr &^ 7) {
 		c.stats.ForwardedLoads++
 		lat += 2 // SQ read-out
 		// The forwarded value still drives the (herded) data bypass.
@@ -967,6 +1045,17 @@ func (c *Core) loadLatency(e *robEntry) int {
 		lat = c.cfg.L1Latency
 	}
 	return lat
+}
+
+// storeInFlight reports whether an in-flight store writes the 8-byte
+// word at addr.
+func (c *Core) storeInFlight(addr uint64) bool {
+	for i := 0; i < c.sqUsed; i++ {
+		if c.sq[(c.sqHead+i)%c.cfg.SQSize] == addr {
+			return true
+		}
+	}
+	return false
 }
 
 // broadcastLSQ models the load/store queue address broadcast with
@@ -1052,7 +1141,7 @@ func (c *Core) writeback(e *robEntry) {
 func (c *Core) commit() {
 	for n := 0; n < c.cfg.CommitWidth && c.robCount > 0; n++ {
 		e := &c.rob[c.robHead]
-		if e.state != stDone {
+		if !e.done {
 			return
 		}
 		in := &e.inst
@@ -1060,12 +1149,10 @@ func (c *Core) commit() {
 		case isa.ClassLoad:
 			c.lqUsed--
 		case isa.ClassStore:
+			// Stores commit in program order, so this one is the
+			// oldest in the SQ.
+			c.sqHead = (c.sqHead + 1) % c.cfg.SQSize
 			c.sqUsed--
-			if n := c.sqAddrs[in.MemAddr&^7]; n > 1 {
-				c.sqAddrs[in.MemAddr&^7] = n - 1
-			} else {
-				delete(c.sqAddrs, in.MemAddr&^7)
-			}
 			c.stats.StoreCount++
 			// The store writes the cache at commit. A store knows its
 			// data width, so it never causes an unsafe misprediction.

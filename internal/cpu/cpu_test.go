@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"math"
 	"testing"
 
 	"thermalherd/internal/asm"
@@ -415,5 +416,53 @@ func TestOracleWidthPolicyNoUnsafeStalls(t *testing.T) {
 	s := c.Run(uint64(len(insts)))
 	if s.ALUReexecutes != 0 {
 		t.Errorf("oracle policy caused %d re-executions, want 0", s.ALUReexecutes)
+	}
+}
+
+// TestRunAllocatesNothingWarm checks that the cycle loop is
+// allocation-free in steady state. The caches allocate a set on its
+// first miss, so the working set is shrunk to fit the L1: once warm, no
+// access reaches a set that has never been touched.
+func TestRunAllocatesNothingWarm(t *testing.T) {
+	prof, err := trace.ProfileByName("bitcount")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prof.WorkingSet = 16 << 10
+	for _, cfg := range config.Registry() {
+		c, err := New(cfg, trace.NewGenerator(prof))
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.FastForward(100_000)
+		c.Warmup(10_000)
+		if allocs := testing.AllocsPerRun(5, func() { c.Run(2_000) }); allocs != 0 {
+			t.Errorf("%s: Run allocated %.1f times per 2000 instructions, want 0", cfg.Name, allocs)
+		}
+	}
+}
+
+// TestAllocatorSamplesEveryCycle checks that the allocator's per-die
+// occupancy samples cover every simulated cycle, skipped idle cycles
+// included: their per-die means must add up to the core's mean RS
+// occupancy.
+func TestAllocatorSamplesEveryCycle(t *testing.T) {
+	prof, err := trace.ProfileByName("mcf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := New(config.ThreeD(), trace.NewGenerator(prof))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.FastForward(20_000)
+	c.Warmup(5_000)
+	s := c.Run(20_000)
+	var sum float64
+	for d := 0; d < core.NumDies; d++ {
+		sum += c.rsAlloc.MeanOccupancy(d)
+	}
+	if s.MeanRSOcc == 0 || math.Abs(sum-s.MeanRSOcc) > 1e-9*s.MeanRSOcc {
+		t.Errorf("allocator per-die occupancy sums to %.12g, core mean RS occupancy %.12g", sum, s.MeanRSOcc)
 	}
 }

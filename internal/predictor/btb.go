@@ -1,6 +1,10 @@
 package predictor
 
-import "thermalherd/internal/core"
+import (
+	"math/bits"
+
+	"thermalherd/internal/core"
+)
 
 // BTB is a set-associative branch target buffer. In the 3D configuration
 // it applies the paper's target memoization: the low 16 target bits live
@@ -11,6 +15,7 @@ type BTB struct {
 	sets    [][]btbEntry
 	ways    int
 	setMask uint64
+	setLg   int // log2 of the set count: the tag starts this far above the index
 
 	lookups   uint64
 	hits      uint64
@@ -35,7 +40,8 @@ func NewBTB(entries, ways int) *BTB {
 	if nsets&(nsets-1) != 0 {
 		panic("predictor: BTB set count must be a power of two")
 	}
-	b := &BTB{sets: make([][]btbEntry, nsets), ways: ways, setMask: uint64(nsets - 1)}
+	b := &BTB{sets: make([][]btbEntry, nsets), ways: ways, setMask: uint64(nsets - 1),
+		setLg: bits.TrailingZeros(uint(nsets))}
 	for i := range b.sets {
 		b.sets[i] = make([]btbEntry, ways)
 	}
@@ -44,15 +50,7 @@ func NewBTB(entries, ways int) *BTB {
 
 func (b *BTB) index(pc uint64) (set uint64, tag uint64) {
 	line := pc >> 2
-	return line & b.setMask, line >> uint(popcount(b.setMask))
-}
-
-func popcount(x uint64) int {
-	n := 0
-	for ; x != 0; x &= x - 1 {
-		n++
-	}
-	return n
+	return line & b.setMask, line >> b.setLg
 }
 
 // LookupResult describes one BTB probe.

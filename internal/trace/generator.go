@@ -204,7 +204,10 @@ type staticInst struct {
 type Generator struct {
 	prof Profile
 	rng  *rand.Rand
-	code []staticInst
+	// pCont is the per-step continuation probability of the geometric
+	// dependency distance, whose mean is prof.DepDistMean.
+	pCont float64
+	code  []staticInst
 
 	idx int // current static instruction index
 	// Call/return state: jumps model calls; after a callee runs for a
@@ -212,11 +215,21 @@ type Generator struct {
 	retStack   []int
 	calleeLeft int
 
-	destRR  int // round-robin destination register allocator
-	recent  []producer
-	regVal  [64]uint64
-	emitted uint64
+	destRR int // round-robin destination register allocator
+	// recent is a ring of the last producerWindow producers; noted
+	// counts every producer ever noted, so the newest is at
+	// (noted-1) mod producerWindow. newestInt[low] is the noted count
+	// just after the newest integer producer of that width class (0:
+	// none yet).
+	recent    [producerWindow]producer
+	noted     uint64
+	newestInt [2]uint64
+	regVal    [64]uint64
+	emitted   uint64
 }
+
+// producerWindow bounds how far back pickSource looks for a producer.
+const producerWindow = 64
 
 // producer records a recently written register and the width class of
 // the value it holds, so consumers can exhibit the width locality real
@@ -234,9 +247,9 @@ func NewGenerator(prof Profile) *Generator {
 		panic(err)
 	}
 	g := &Generator{
-		prof:   prof,
-		rng:    rand.New(rand.NewSource(prof.Seed)),
-		recent: make([]producer, 0, 64),
+		prof:  prof,
+		rng:   rand.New(rand.NewSource(prof.Seed)),
+		pCont: 1 - 1/prof.DepDistMean,
 	}
 	g.synthesize()
 	return g
@@ -523,7 +536,7 @@ func (g *Generator) pickDest(fp bool) int16 {
 // pipeline consumes 16-bit values), which is precisely what makes the
 // paper's per-PC width prediction accurate.
 func (g *Generator) pickSource(fp, preferLow bool) int16 {
-	if len(g.recent) == 0 {
+	if g.noted == 0 {
 		if fp {
 			return FPBase + 1
 		}
@@ -531,20 +544,16 @@ func (g *Generator) pickSource(fp, preferLow bool) int16 {
 	}
 	// Geometric distance with mean DepDistMean.
 	dist := 0
-	pCont := 1 - 1/g.prof.DepDistMean
-	for dist < len(g.recent)-1 && g.rng.Float64() < pCont {
+	window := int(min(g.noted, producerWindow))
+	for dist < window-1 && g.rng.Float64() < g.pCont {
 		dist++
 	}
-	r := g.recent[len(g.recent)-1-dist]
+	r := g.producerBack(dist)
 	if !fp && r.low != preferLow && g.rng.Float64() < 0.98 {
-		// Width-locality: scan outward for a producer of the matching
-		// width class.
-		for i := len(g.recent) - 1; i >= 0; i-- {
-			cand := g.recent[i]
-			if cand.reg < FPBase && cand.low == preferLow {
-				r = cand
-				break
-			}
+		// Width-locality: take the newest integer producer in the
+		// window of the matching width class, if there is one.
+		if at := g.newestInt[b2i(preferLow)]; at > 0 && g.noted-at < producerWindow {
+			r = g.producerBack(int(g.noted - at))
 		}
 	}
 	if fp != (r.reg >= FPBase) {
@@ -558,10 +567,23 @@ func (g *Generator) pickSource(fp, preferLow bool) int16 {
 }
 
 func (g *Generator) noteDest(d int16, low bool) {
-	g.recent = append(g.recent, producer{reg: d, low: low})
-	if len(g.recent) > 64 {
-		g.recent = g.recent[1:]
+	g.recent[g.noted%producerWindow] = producer{reg: d, low: low}
+	g.noted++
+	if d < FPBase {
+		g.newestInt[b2i(low)] = g.noted
 	}
+}
+
+// producerBack returns the producer back places before the newest one.
+func (g *Generator) producerBack(back int) producer {
+	return g.recent[(g.noted-1-uint64(back))%producerWindow]
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // intResult draws a result value honouring the static instruction's
