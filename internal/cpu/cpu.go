@@ -233,7 +233,9 @@ func New(cfg config.Machine, src trace.Source) (*Core, error) {
 
 // Run simulates until maxInsts further instructions commit or the
 // source is exhausted, and returns the statistics. Call Warmup first to
-// exclude cold-start effects from the measurement.
+// exclude cold-start effects from the measurement. The result aliases
+// the core: later calls update it, and holding it keeps the whole core
+// alive, so copy it (st := *c.Run(n)) to keep it past the core.
 func (c *Core) Run(maxInsts uint64) *Stats {
 	occROB, occRS := c.runLoop(c.stats.Insts + maxInsts)
 	c.finalizeStats(occROB, occRS)

@@ -60,6 +60,14 @@ const (
 	metricCacheEntries  = "cache.entries"
 	metricCacheCapacity = "cache.capacity"
 
+	// Simulation-memo metrics: hits are simulations a job took from the
+	// server-wide memo instead of running them, misses the ones it ran,
+	// entries the finished results the memo holds. A memo hit is not a
+	// result-cache hit: its job still executes and counts as completed.
+	metricMemoHits    = "memo.hits"
+	metricMemoMisses  = "memo.misses"
+	metricMemoEntries = "memo.entries"
+
 	metricHTTPBatchRequests = "http.batch_requests"
 	metricHTTPListRequests  = "http.list_requests"
 
@@ -153,6 +161,9 @@ func MetricNames() []string {
 		metricCacheMisses,
 		metricCacheEntries,
 		metricCacheCapacity,
+		metricMemoHits,
+		metricMemoMisses,
+		metricMemoEntries,
 		metricHTTPBatchRequests,
 		metricHTTPListRequests,
 		metricFaultsInjected,

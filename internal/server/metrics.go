@@ -4,6 +4,7 @@ import (
 	"sync"
 	"time"
 
+	"thermalherd/internal/experiments"
 	"thermalherd/internal/qos"
 	"thermalherd/internal/stats"
 )
@@ -217,6 +218,8 @@ type gauges struct {
 	replReplicaEvents uint64
 	replAdopted       uint64
 	replAliased       uint64
+	// memo is the shared simulation memo's counters.
+	memo experiments.MemoStats
 }
 
 // snapshot renders the metrics as the /metrics JSON document. The
@@ -317,6 +320,10 @@ func (m *metrics) snapshot(g gauges) map[string]any {
 		metricCacheMisses:   m.cacheMisses.Value(),
 		metricCacheEntries:  g.cacheLen,
 		metricCacheCapacity: g.cacheCap,
+
+		metricMemoHits:    g.memo.Hits,
+		metricMemoMisses:  g.memo.Misses,
+		metricMemoEntries: g.memo.Entries,
 
 		metricHTTPBatchRequests: m.batchRequests.Value(),
 		metricHTTPListRequests:  m.listRequests.Value(),

@@ -44,6 +44,7 @@ import (
 
 	"thermalherd/internal/clock"
 	"thermalherd/internal/config"
+	"thermalherd/internal/experiments"
 	"thermalherd/internal/faultinject"
 	"thermalherd/internal/httpjson"
 	"thermalherd/internal/journal"
@@ -282,7 +283,10 @@ type Server struct {
 	watchdogStop chan struct{}
 	watchdogOnce sync.Once
 
-	// exec runs one job's spec; tests substitute a stub.
+	// memo holds the simulation results every job's runner shares;
+	// exec runs one job's spec (runSpec over memo; tests substitute a
+	// stub).
+	memo *experiments.Memo
 	exec func(ctx context.Context, spec Spec, report progressFunc) (json.RawMessage, error)
 }
 
@@ -327,8 +331,9 @@ func New(cfg Config) (*Server, error) {
 		idem:         make(map[string]string),
 		aliases:      make(map[string]string),
 		watchdogStop: make(chan struct{}),
-		exec:         runSpec,
+		memo:         experiments.NewMemo(),
 	}
+	s.exec = s.runSpec
 	switch cfg.SchedPolicy {
 	case "", SchedFIFO:
 		s.cfg.SchedPolicy = SchedFIFO
@@ -692,6 +697,7 @@ func (s *Server) Metrics() map[string]any {
 		journalRecovered: s.replayStats.recovered,
 		schedPolicy:      s.cfg.SchedPolicy,
 		predictor:        s.predictor.Stats(),
+		memo:             s.memo.Stats(),
 	}
 	if s.cfg.SchedPolicy == SchedQoS {
 		g.queuedShort, g.queuedLong, g.runningShort, g.runningLong = s.sched.counts()

@@ -69,9 +69,10 @@ func totalUnits(spec Spec) int {
 
 // runSpec executes one normalized spec, reporting progress through
 // report. It is the worker pool's default executor; tests substitute
-// their own. Cancellation is observed by the runner between
+// their own. Each job gets its own runner over the server's shared
+// simulation memo. Cancellation is observed by the runner between
 // simulation phases, surfacing as ctx.Err().
-func runSpec(ctx context.Context, spec Spec, report progressFunc) (json.RawMessage, error) {
+func (s *Server) runSpec(ctx context.Context, spec Spec, report progressFunc) (json.RawMessage, error) {
 	opts, err := spec.Depths.options()
 	if err != nil {
 		return nil, err
@@ -87,6 +88,7 @@ func runSpec(ctx context.Context, spec Spec, report progressFunc) (json.RawMessa
 	report(0, total)
 	r := experiments.NewRunner(opts)
 	r.SetContext(ctx)
+	r.SetMemo(s.memo)
 
 	switch spec.Kind {
 	case KindTiming:
