@@ -10,7 +10,7 @@
 //	           [-sched fifo|qos] [-short-budget 2s] [-short-reserve 0]
 //	           [-tenant-rate 0] [-tenant-burst 0] [-tenant-weights SPEC]
 //	           [-faults SPEC] [-fault-seed 1]
-//	           [-journal-dir DIR] [-fsync always|interval|off] [-no-recover]
+//	           [-journal-dir DIR] [-fsync always|off] [-no-recover]
 //	           [-node NAME] [-repl none|sync] [-repl-peer NAME=URL]
 //
 // SIGINT/SIGTERM begin a graceful drain: new submissions are rejected
@@ -37,11 +37,11 @@
 // -tenant-weights biases the fair dequeue ("live=4,batch=1").
 //
 // -journal-dir enables crash-safe durability: accepted jobs are
-// written to a write-ahead log before they are acknowledged, and on
-// restart the daemon replays the journal, re-enqueues unfinished work,
-// and reports "recovering" on /readyz until the replay completes.
-// -fsync picks the append durability policy (always survives power
-// loss; interval bounds loss to ~100ms of acks; off survives process
+// written to a write-ahead log before they are acknowledged, and so is
+// each job's terminal outcome; on restart the daemon replays the
+// journal, re-enqueues unfinished work, and reports "recovering" on
+// /readyz until the replay completes. -fsync picks the append
+// durability policy (always survives power loss; off survives process
 // crashes only). -no-recover discards any persisted state instead of
 // replaying it.
 //
@@ -94,7 +94,7 @@ func main() {
 		faultSeed = flag.Int64("fault-seed", 1, "seed for fault-injection firing decisions")
 
 		journalDir = flag.String("journal-dir", "", "write-ahead journal directory; empty disables durability")
-		fsync      = flag.String("fsync", "always", "journal fsync policy: always, interval, or off")
+		fsync      = flag.String("fsync", "always", "journal fsync policy: always or off")
 		noRecover  = flag.Bool("no-recover", false, "discard persisted journal state instead of replaying it")
 
 		nodeName = flag.String("node", "", "this node's herd name (required with -repl)")

@@ -1,11 +1,11 @@
 // Package journal is thermherdd's crash-safe write-ahead log for job
-// lifecycle events. Every accepted job and every later transition
-// (started, completed, failed, canceled) is appended as one framed
-// record before the daemon acknowledges it, so a crash — a kill -9, an
-// OOM, a chaos-layer panic that slips past recovery — loses no
-// acknowledged work: on restart the server replays the journal,
-// rebuilds its job table, and re-enqueues whatever was accepted or
-// started but never finished.
+// lifecycle events. Every accepted job and its terminal transition
+// (completed, failed, canceled, migrated) are each appended as one
+// framed record, the acceptance before the daemon acknowledges it, so
+// a crash — a kill -9, an OOM, a chaos-layer panic that slips past
+// recovery — loses no acknowledged work: on restart the server replays
+// the journal, rebuilds its job table, and re-enqueues whatever was
+// accepted but never finished.
 //
 // # Record format
 //
@@ -25,10 +25,8 @@
 //
 // Durability of the acknowledgment is governed by the fsync policy:
 // FsyncAlways syncs after every append (an acked job survives power
-// loss), FsyncInterval syncs at most once per configured period (a
-// crash can lose the last interval's acks, bounded data loss for much
-// cheaper appends), FsyncOff leaves flushing to the OS (process
-// crashes lose nothing, power loss may lose recent acks).
+// loss), FsyncOff leaves flushing to the OS (process crashes lose
+// nothing, power loss may lose recent acks).
 //
 // # Snapshot compaction
 //
@@ -65,9 +63,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
-	"time"
 
-	"thermalherd/internal/clock"
 	"thermalherd/internal/faultinject"
 )
 
@@ -97,7 +93,9 @@ const (
 	// immediately from the result cache); it carries the full spec so
 	// replay can re-enqueue the job.
 	EventAccepted EventType = "accepted"
-	// EventStarted records a worker picking the job up.
+	// EventStarted is a legacy record that older binaries journaled
+	// when a worker picked a job up. Nothing writes it now (terminal
+	// events carry Started instead); replay keeps only its timestamp.
 	EventStarted EventType = "started"
 	// EventCompleted records successful completion, carrying the result
 	// so the job table and result cache survive a restart.
@@ -135,6 +133,10 @@ type Event struct {
 	// MigratedTo is set on migrated events: the node that adopted the
 	// job.
 	MigratedTo string `json:"migrated_to,omitempty"`
+	// Started is set on terminal events of jobs that ran (or were
+	// answered from cache): the RFC3339Nano time the job started, so a
+	// restored job keeps its started_at.
+	Started string `json:"started,omitempty"`
 	// At is the transition's RFC3339Nano timestamp.
 	At string `json:"at,omitempty"`
 }
@@ -172,11 +174,6 @@ const (
 	// FsyncAlways syncs after every append; an acknowledged job
 	// survives power loss.
 	FsyncAlways FsyncPolicy = "always"
-	// FsyncInterval syncs at most once per Options.FsyncEvery; a crash
-	// can lose at most that window of acknowledgments. A background
-	// flusher syncs the tail of a burst, so the bound holds even when
-	// no further append arrives to trigger the inline sync.
-	FsyncInterval FsyncPolicy = "interval"
 	// FsyncOff never syncs explicitly; process crashes lose nothing
 	// (the OS holds the pages), power loss may lose recent acks.
 	FsyncOff FsyncPolicy = "off"
@@ -185,12 +182,12 @@ const (
 // ParseFsyncPolicy validates a policy string (the -fsync flag).
 func ParseFsyncPolicy(s string) (FsyncPolicy, error) {
 	switch FsyncPolicy(s) {
-	case FsyncAlways, FsyncInterval, FsyncOff:
+	case FsyncAlways, FsyncOff:
 		return FsyncPolicy(s), nil
 	case "":
 		return FsyncAlways, nil
 	}
-	return "", fmt.Errorf("journal: unknown fsync policy %q (want always, interval, or off)", s)
+	return "", fmt.Errorf("journal: unknown fsync policy %q (want always or off)", s)
 }
 
 // Options configures Open.
@@ -200,15 +197,11 @@ type Options struct {
 	Dir string
 	// Fsync is the append durability policy; empty means FsyncAlways.
 	Fsync FsyncPolicy
-	// FsyncEvery spaces syncs under FsyncInterval; 0 means 100ms.
-	FsyncEvery time.Duration
 	// CompactBytes is the WAL size past which ShouldCompact reports
 	// true; 0 means 4 MiB.
 	CompactBytes int64
 	// Faults is the chaos-testing fault-injection registry (may be nil).
 	Faults *faultinject.Registry
-	// Clock paces interval fsyncs; nil means the wall clock.
-	Clock clock.Clock
 }
 
 // Replay is what Open recovered from disk: the last snapshot (if any)
@@ -251,25 +244,17 @@ type Journal struct {
 	opts Options
 	dir  string
 
-	mu       sync.Mutex
-	f        *os.File
-	size     int64
-	lastSync time.Time
-	appends  uint64
-	fsyncs   uint64
-	// dirty marks appended-but-unsynced bytes; the interval flusher
-	// syncs them even when no further append arrives.
-	dirty bool
+	mu      sync.Mutex
+	f       *os.File
+	size    int64
+	appends uint64
+	fsyncs  uint64
 	// broken seals the journal after a failed append whose frame-boundary
 	// restore also failed: the WAL tail is torn and cannot be repaired,
 	// so accepting more appends would strand every later event behind
 	// the torn frame on recovery. Cleared when a compaction empties the
 	// WAL.
 	broken error
-
-	// flushStop/flushDone bracket the FsyncInterval background flusher.
-	flushStop chan struct{}
-	flushDone chan struct{}
 }
 
 // Open recovers the journal in opts.Dir and returns it ready for
@@ -286,14 +271,8 @@ func Open(opts Options) (*Journal, *Replay, error) {
 	if _, err := ParseFsyncPolicy(string(opts.Fsync)); err != nil {
 		return nil, nil, err
 	}
-	if opts.FsyncEvery <= 0 {
-		opts.FsyncEvery = 100 * time.Millisecond
-	}
 	if opts.CompactBytes <= 0 {
 		opts.CompactBytes = 4 << 20
-	}
-	if opts.Clock == nil {
-		opts.Clock = clock.Real()
 	}
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("journal: %w", err)
@@ -326,43 +305,7 @@ func Open(opts Options) (*Journal, *Replay, error) {
 	rep.Events = events
 	rep.CleanClose = rep.Snapshot != nil && rep.Snapshot.Clean && len(events) == 0
 
-	j := &Journal{
-		opts:     opts,
-		dir:      opts.Dir,
-		f:        f,
-		size:     good,
-		lastSync: opts.Clock.Now(),
-	}
-	if opts.Fsync == FsyncInterval {
-		// Without the flusher the interval policy only syncs from within
-		// a later Append, so the tail of a burst would stay unsynced
-		// indefinitely and the "at most FsyncEvery of acks" loss bound
-		// would not hold.
-		j.flushStop = make(chan struct{})
-		j.flushDone = make(chan struct{})
-		go j.flushLoop(j.flushStop, j.flushDone)
-	}
-	return j, rep, nil
-}
-
-// flushLoop is the FsyncInterval background flusher: it syncs dirty
-// appends at most once per FsyncEvery so the loss bound holds even
-// when no further append arrives to trigger the inline sync. The
-// channels are passed in because Close nils the struct fields.
-func (j *Journal) flushLoop(stop <-chan struct{}, done chan<- struct{}) {
-	defer close(done)
-	for {
-		select {
-		case <-stop:
-			return
-		case <-j.opts.Clock.After(j.opts.FsyncEvery):
-		}
-		j.mu.Lock()
-		if j.f != nil && j.dirty {
-			j.syncLocked() // best-effort; an error also surfaces on the next Append
-		}
-		j.mu.Unlock()
-	}
+	return &Journal{opts: opts, dir: opts.Dir, f: f, size: good}, rep, nil
 }
 
 // scanWAL reads frames from the start of f, returning the decoded
@@ -521,8 +464,10 @@ func (j *Journal) Append(ev Event) error {
 		return fmt.Errorf("journal: append: %w", err)
 	}
 	j.appends++
-	j.dirty = true
-	return j.maybeSyncLocked()
+	if j.opts.Fsync == FsyncOff {
+		return nil
+	}
+	return j.syncLocked()
 }
 
 // restoreTailLocked rolls the WAL back to the frame boundary at prev
@@ -542,20 +487,6 @@ func (j *Journal) restoreTailLocked(prev int64) {
 	j.size = prev
 }
 
-// maybeSyncLocked applies the fsync policy after an append. Caller
-// holds j.mu.
-func (j *Journal) maybeSyncLocked() error {
-	switch j.opts.Fsync {
-	case FsyncOff:
-		return nil
-	case FsyncInterval:
-		if j.opts.Clock.Since(j.lastSync) < j.opts.FsyncEvery {
-			return nil
-		}
-	}
-	return j.syncLocked()
-}
-
 // syncLocked flushes the WAL to stable storage. Caller holds j.mu.
 func (j *Journal) syncLocked() error {
 	if ferr := j.opts.Faults.Fire(FaultFsync); ferr != nil {
@@ -565,8 +496,6 @@ func (j *Journal) syncLocked() error {
 		return fmt.Errorf("journal: fsync: %w", err)
 	}
 	j.fsyncs++
-	j.dirty = false
-	j.lastSync = j.opts.Clock.Now()
 	return nil
 }
 
@@ -647,7 +576,6 @@ func (j *Journal) Compact(capture func() Snapshot) error {
 		return fmt.Errorf("journal: %w", err)
 	}
 	j.size = 0
-	j.dirty = false
 	// The WAL is empty again: whatever torn tail sealed the journal is
 	// gone, so appends may resume.
 	j.broken = nil
@@ -666,7 +594,6 @@ func (j *Journal) Reset() error {
 		return fmt.Errorf("journal: %w", err)
 	}
 	j.size = 0
-	j.dirty = false
 	j.broken = nil
 	if err := os.Remove(filepath.Join(j.dir, snapshotName)); err != nil && !os.IsNotExist(err) {
 		return fmt.Errorf("journal: reset: %w", err)
@@ -688,18 +615,9 @@ func (j *Journal) Size() int64 {
 	return j.size
 }
 
-// Close stops the interval flusher, then syncs and closes the WAL
-// file. It does not write a snapshot; a graceful shutdown calls
-// WriteSnapshot first.
+// Close syncs and closes the WAL file. It does not write a snapshot;
+// a graceful shutdown calls WriteSnapshot first.
 func (j *Journal) Close() error {
-	j.mu.Lock()
-	stop, done := j.flushStop, j.flushDone
-	j.flushStop = nil
-	j.mu.Unlock()
-	if stop != nil {
-		close(stop)
-		<-done // the flusher exits promptly once stop is closed
-	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.f == nil {

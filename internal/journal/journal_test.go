@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"thermalherd/internal/clock"
 	"thermalherd/internal/faultinject"
 )
 
@@ -35,7 +34,7 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 	events := []Event{
 		{Type: EventAccepted, ID: "job-000001", Spec: json.RawMessage(`{"kind":"timing"}`), Key: "k1", IdemKey: "i1", At: "t0"},
 		ev(EventStarted, "job-000001"),
-		{Type: EventCompleted, ID: "job-000001", Result: json.RawMessage(`{"ok":true}`), At: "t2"},
+		{Type: EventCompleted, ID: "job-000001", Result: json.RawMessage(`{"ok":true}`), Started: "t1", At: "t2"},
 		{Type: EventFailed, ID: "job-000002", Error: "boom", At: "t3"},
 	}
 	for _, e := range events {
@@ -56,7 +55,7 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 		want := events[i]
 		if got.Type != want.Type || got.ID != want.ID || got.Error != want.Error ||
 			string(got.Spec) != string(want.Spec) || string(got.Result) != string(want.Result) ||
-			got.Key != want.Key || got.IdemKey != want.IdemKey || got.At != want.At {
+			got.Key != want.Key || got.IdemKey != want.IdemKey || got.At != want.At || got.Started != want.Started {
 			t.Fatalf("event %d: got %+v want %+v", i, got, want)
 		}
 	}
@@ -77,40 +76,16 @@ func TestFsyncPolicies(t *testing.T) {
 			t.Fatalf("fsync=off synced %d times", st.Fsyncs)
 		}
 	})
-	t.Run("interval", func(t *testing.T) {
-		fake := clock.NewFake(time.Unix(0, 0))
-		j, _ := open(t, Options{Dir: t.TempDir(), Fsync: FsyncInterval, FsyncEvery: time.Second, Clock: fake})
-		for i := 0; i < 3; i++ {
-			if err := j.Append(ev(EventAccepted, "job-000001")); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if st := j.Stats(); st.Fsyncs != 0 {
-			t.Fatalf("interval not elapsed yet, synced %d times", st.Fsyncs)
-		}
-		fake.Advance(time.Second)
-		if err := j.Append(ev(EventStarted, "job-000001")); err != nil {
-			t.Fatal(err)
-		}
-		if st := j.Stats(); st.Fsyncs != 1 {
-			t.Fatalf("want 1 fsync after interval elapsed, got %d", st.Fsyncs)
-		}
-		// The sync resets the window.
-		if err := j.Append(ev(EventCompleted, "job-000001")); err != nil {
-			t.Fatal(err)
-		}
-		if st := j.Stats(); st.Fsyncs != 1 {
-			t.Fatalf("window should have reset, got %d fsyncs", st.Fsyncs)
-		}
-	})
 	t.Run("parse", func(t *testing.T) {
-		for _, good := range []string{"always", "interval", "off", ""} {
+		for _, good := range []string{"always", "off", ""} {
 			if _, err := ParseFsyncPolicy(good); err != nil {
 				t.Errorf("ParseFsyncPolicy(%q): %v", good, err)
 			}
 		}
-		if _, err := ParseFsyncPolicy("sometimes"); err == nil {
-			t.Error("ParseFsyncPolicy(sometimes) should fail")
+		for _, bad := range []string{"sometimes", "interval"} {
+			if _, err := ParseFsyncPolicy(bad); err == nil {
+				t.Errorf("ParseFsyncPolicy(%q) should fail", bad)
+			}
 		}
 	})
 }
@@ -380,31 +355,6 @@ func TestCompactHoldsOutConcurrentAppend(t *testing.T) {
 	}
 	if len(rep.Events) != 1 || rep.Events[0].ID != "job-000002" {
 		t.Fatalf("append racing compaction was lost: events = %+v", rep.Events)
-	}
-}
-
-// TestIntervalFlusherSyncsIdleTail: under fsync=interval the last acks
-// of a burst must reach stable storage within FsyncEvery even when no
-// further append arrives to trigger the inline sync.
-func TestIntervalFlusherSyncsIdleTail(t *testing.T) {
-	fake := clock.NewFake(time.Unix(0, 0))
-	j, _ := open(t, Options{Dir: t.TempDir(), Fsync: FsyncInterval, FsyncEvery: time.Second, Clock: fake})
-	if err := j.Append(ev(EventAccepted, "job-000001")); err != nil {
-		t.Fatal(err)
-	}
-	if st := j.Stats(); st.Fsyncs != 0 {
-		t.Fatalf("interval not elapsed yet, synced %d times", st.Fsyncs)
-	}
-	// The flusher goroutine registers its timer and wakes
-	// asynchronously; keep advancing the fake window until its sync
-	// lands.
-	deadline := time.Now().Add(5 * time.Second)
-	for j.Stats().Fsyncs == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("idle tail never synced: the interval flusher did not run")
-		}
-		fake.Advance(time.Second)
-		time.Sleep(time.Millisecond)
 	}
 }
 

@@ -48,14 +48,6 @@ type BatchResponse struct {
 // response always carries one item per submitted spec, in order.
 func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 	hdrTenant := tenantOrDefault(r.Header.Get(TenantHeader))
-	if s.draining.Load() {
-		s.metrics.inc(&s.metrics.submitted)
-		s.metrics.inc(&s.metrics.rejected)
-		s.metrics.tinc(hdrTenant, tcSubmitted)
-		s.metrics.tinc(hdrTenant, tcRejected)
-		httpjson.Error(w, http.StatusServiceUnavailable, "server is draining; not accepting jobs")
-		return
-	}
 	var req BatchRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 8<<20))
 	dec.DisallowUnknownFields()
@@ -81,6 +73,22 @@ func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 			len(req.Tenants), len(req.Jobs))
 		return
 	}
+	tenant := func(i int) string {
+		if len(req.Tenants) > 0 && req.Tenants[i] != "" {
+			return tenantOrDefault(req.Tenants[i])
+		}
+		return hdrTenant
+	}
+	if s.draining.Load() {
+		// Each refused spec counts as one submission and one rejection
+		// under its own tenant, exactly as a single submit would.
+		for i := range req.Jobs {
+			s.metrics.tinc(tenant(i), tcSubmitted)
+			s.metrics.tinc(tenant(i), tcRejected)
+		}
+		httpjson.Error(w, http.StatusServiceUnavailable, "server is draining; not accepting jobs")
+		return
+	}
 	s.metrics.inc(&s.metrics.batchRequests)
 	resp := BatchResponse{Jobs: make([]BatchItem, len(req.Jobs))}
 	for i, spec := range req.Jobs {
@@ -88,11 +96,7 @@ func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 		if len(req.IdempotencyKeys) > 0 {
 			idemKey = req.IdempotencyKeys[i]
 		}
-		tenant := hdrTenant
-		if len(req.Tenants) > 0 && req.Tenants[i] != "" {
-			tenant = req.Tenants[i]
-		}
-		st, code, _, err := s.admit(spec, idemKey, tenant)
+		st, code, _, err := s.admit(spec, idemKey, tenant(i))
 		if err != nil {
 			resp.Jobs[i] = BatchItem{Error: err.Error(), Code: code}
 			continue

@@ -141,10 +141,31 @@ func TestBatchSubmitDraining503(t *testing.T) {
 	s.Drain(ctx)
 	ts := httptest.NewServer(s)
 	t.Cleanup(ts.Close)
-	resp, _ := submitBatch(t, ts.URL, `{"jobs":[{"kind":"timing","workload":"mcf"}]}`)
+	req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/jobs:batch", strings.NewReader(
+		`{"jobs":[{"kind":"timing","workload":"mcf"},{"kind":"timing","workload":"gzip"},{"kind":"timing","workload":"gcc"}],
+		  "tenants":["a","","b"]}`))
+	req.Header.Set(TenantHeader, "h")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatalf("POST /v1/jobs:batch: %v", err)
+	}
+	resp.Body.Close()
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("batch while draining = %s, want 503", resp.Status)
 	}
+	// Every refused spec is one submission and one rejection, charged to
+	// its own tenant (the header's when the spec names none).
+	doc := metricsDoc(t, ts)
+	if sub, rej := counter(t, doc, "jobs", "submitted"), counter(t, doc, "jobs", "rejected"); sub != 3 || rej != 3 {
+		t.Fatalf("draining batch of 3 counted submitted %v / rejected %v, want 3 / 3", sub, rej)
+	}
+	for _, tenant := range []string{"a", "h", "b"} {
+		td := tenantDoc(t, doc, tenant)
+		if td["submitted"].(float64) != 1 || td["rejected"].(float64) != 1 {
+			t.Errorf("tenant %s = %v, want 1 submitted / 1 rejected", tenant, td)
+		}
+	}
+	reconcileTenants(t, doc)
 }
 
 func TestListJobsFilterAndPagination(t *testing.T) {

@@ -199,6 +199,15 @@ const (
 	StateMigrated State = "migrated"
 )
 
+// terminalEvents names the journal event that records each terminal
+// state.
+var terminalEvents = map[State]journal.EventType{
+	StateDone:     journal.EventCompleted,
+	StateFailed:   journal.EventFailed,
+	StateCanceled: journal.EventCanceled,
+	StateMigrated: journal.EventMigrated,
+}
+
 // Progress counts completed versus total units of work (workload
 // simulations for most kinds).
 type Progress struct {
@@ -528,6 +537,21 @@ func (j *job) record(idemKey string) journal.JobRecord {
 		rec.Finished = j.finished.Format(time.RFC3339Nano)
 	}
 	return rec
+}
+
+// terminalEvent renders a settled job's terminal transition for the
+// journal. Every settle path journals through it, so the record always
+// matches the status clients see, and carries the start time so a
+// restored job keeps its started_at.
+func (j *job) terminalEvent() journal.Event {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	ev := journal.Event{Type: terminalEvents[j.state], ID: j.id, Error: j.err, Result: j.result,
+		FromCache: j.fromCache, MigratedTo: j.migratedTo}
+	if !j.started.IsZero() {
+		ev.Started = j.started.Format(time.RFC3339Nano)
+	}
+	return ev
 }
 
 // parseEventTime is lenient: journal timestamps are advisory metadata,

@@ -13,29 +13,15 @@ import (
 // One mutex guards everything: updates are a few counter increments
 // on job-lifecycle events, far off any hot path.
 //
-// The identity declaration below is machine-checked: thermlint's
-// acctid analyzer proves that every submitted increment is settled by
-// exactly one right-hand-side increment on every return path (or is
-// explicitly handed off to a later settle), so the reconciliation
-// loadgen.ChaosCheck asserts can never drift by construction.
-//
-//thermlint:identity metrics: submitted = cacheHits + completed + failed + canceled + rejected + migrated
+// The accounting identity counters live only per tenant (see
+// tenantCounters); the global jobs.* and cache.hits values are their
+// sums, so the two views cannot drift apart.
 type metrics struct {
 	mu sync.Mutex
 
-	submitted stats.Counter
-	completed stats.Counter
-	failed    stats.Counter
-	canceled  stats.Counter
-	rejected  stats.Counter
-	// migrated settles jobs herded to the ring successor during drain:
-	// locally terminal, adopted (and re-submitted) by the successor, so
-	// fleet-wide reconciliation subtracts migrations from done totals.
-	migrated stats.Counter
-
 	// Resilience sub-counters: panicsRecovered and deadlineExceeded
-	// jobs are also counted in failed; brownoutRejects and quotaRejects
-	// are also counted in rejected. The sub-counters attribute *why*.
+	// jobs are also counted as failed; brownoutRejects and quotaRejects
+	// are also counted as rejected. The sub-counters attribute *why*.
 	panicsRecovered  stats.Counter
 	deadlineExceeded stats.Counter
 	brownoutRejects  stats.Counter
@@ -43,11 +29,10 @@ type metrics struct {
 	workerRestarts   stats.Counter
 
 	// deduped attributes submissions answered by idempotency-key
-	// dedup; each is also counted in submitted and cacheHits (the
+	// dedup; each is also counted as submitted and a hit (the
 	// submission was absorbed without executing anything).
 	deduped stats.Counter
 
-	cacheHits   stats.Counter
 	cacheMisses stats.Counter
 
 	batchRequests stats.Counter
@@ -59,30 +44,27 @@ type metrics struct {
 	// direct measure of whether the short fast pool is working.
 	qwait map[string]*stats.Histogram
 
-	// tenants holds the per-tenant accounting identity counters, in
+	// tenants holds the accounting identity counters per tenant, in
 	// first-seen order for deterministic emission. Bounded: beyond
 	// maxTenantCounters distinct tenants, new ones fold into "other".
 	tenants     map[string]*tenantCounters
 	tenantOrder []string
 }
 
-// tenantCounters is one tenant's slice of the accounting identity:
-// submitted == hits + completed + failed + canceled + rejected must
-// reconcile within each tenant exactly as it does globally.
-type tenantCounters struct {
-	submitted stats.Counter
-	hits      stats.Counter
-	completed stats.Counter
-	failed    stats.Counter
-	canceled  stats.Counter
-	rejected  stats.Counter
-	migrated  stats.Counter
-}
+// tenantCounters is one tenant's slice of the accounting identity,
+// indexed by tcField.
+type tenantCounters [numTCFields]uint64
 
-// tcField selects which tenantCounters counter tinc bumps. The same
-// accounting identity holds per tenant, proven over the tinc call
-// sites instead of the struct fields (tinc's own switch is the single
-// place the fields move).
+// tcField selects which tenantCounters counter tinc bumps. The
+// identity below is machine-checked: thermlint's acctid analyzer
+// proves over the tinc call sites that every tcSubmitted increment is
+// settled by exactly one right-hand-side increment on every return
+// path (or is explicitly handed off to a later settle), so the
+// reconciliation loadgen.ChaosCheck asserts can never drift by
+// construction. migrated settles jobs herded to the ring successor
+// during drain: locally terminal, adopted (and re-submitted) by the
+// successor, so fleet-wide reconciliation subtracts migrations from
+// done totals.
 //
 //thermlint:identity tcField: tcSubmitted = tcHits + tcCompleted + tcFailed + tcCanceled + tcRejected + tcMigrated
 type tcField int
@@ -95,7 +77,12 @@ const (
 	tcCanceled
 	tcRejected
 	tcMigrated
+	numTCFields
 )
+
+// tcNames are the tenant sub-document's leaf names, indexed by
+// tcField; they mirror the global jobs.* identity counters.
+var tcNames = [numTCFields]string{"submitted", "hits", "completed", "failed", "canceled", "rejected", "migrated"}
 
 // maxTenantCounters bounds the per-tenant metric map against tenant
 // churn; overflow tenants share the "other" bucket.
@@ -148,22 +135,7 @@ func (m *metrics) tinc(tenant string, f tcField) {
 			m.tenantOrder = append(m.tenantOrder, tenant)
 		}
 	}
-	switch f {
-	case tcSubmitted:
-		tc.submitted.Inc()
-	case tcHits:
-		tc.hits.Inc()
-	case tcCompleted:
-		tc.completed.Inc()
-	case tcFailed:
-		tc.failed.Inc()
-	case tcCanceled:
-		tc.canceled.Inc()
-	case tcRejected:
-		tc.rejected.Inc()
-	case tcMigrated:
-		tc.migrated.Inc()
-	}
+	tc[f]++
 	m.mu.Unlock()
 }
 
@@ -258,21 +230,27 @@ func (m *metrics) snapshot(g gauges) map[string]any {
 			}
 		}
 	}
+	// The global identity counters are sums over the tenants.
+	var total tenantCounters
 	tenants := make(map[string]any, len(m.tenantOrder))
 	for _, t := range m.tenantOrder {
-		tenants[t] = m.tenants[t].doc()
+		tc := m.tenants[t]
+		tenants[t] = tc.doc()
+		for f, n := range tc {
+			total[f] += n
+		}
 	}
 	if g.faultsInjected == nil {
 		g.faultsInjected = map[string]uint64{}
 	}
 	return nestMetrics(map[string]any{
-		metricJobsSubmitted:        m.submitted.Value(),
+		metricJobsSubmitted:        total[tcSubmitted],
 		metricJobsRunning:          g.running,
-		metricJobsCompleted:        m.completed.Value(),
-		metricJobsFailed:           m.failed.Value(),
-		metricJobsCanceled:         m.canceled.Value(),
-		metricJobsRejected:         m.rejected.Value(),
-		metricJobsMigrated:         m.migrated.Value(),
+		metricJobsCompleted:        total[tcCompleted],
+		metricJobsFailed:           total[tcFailed],
+		metricJobsCanceled:         total[tcCanceled],
+		metricJobsRejected:         total[tcRejected],
+		metricJobsMigrated:         total[tcMigrated],
 		metricJobsPanicsRecovered:  m.panicsRecovered.Value(),
 		metricJobsDeadlineExceeded: m.deadlineExceeded.Value(),
 		metricJobsDeduped:          m.deduped.Value(),
@@ -316,7 +294,7 @@ func (m *metrics) snapshot(g gauges) map[string]any {
 		metricQueueDepth:    g.queueDepth,
 		metricQueueCapacity: g.queueCap,
 
-		metricCacheHits:     m.cacheHits.Value(),
+		metricCacheHits:     total[tcHits],
 		metricCacheMisses:   m.cacheMisses.Value(),
 		metricCacheEntries:  g.cacheLen,
 		metricCacheCapacity: g.cacheCap,
@@ -336,16 +314,11 @@ func (m *metrics) snapshot(g gauges) map[string]any {
 }
 
 // doc renders one tenant's counters as its sub-document under the
-// registered "tenants" key. The leaf names deliberately mirror the
-// global jobs.* identity counters. Caller holds m.mu.
+// registered "tenants" key. Caller holds m.mu.
 func (tc *tenantCounters) doc() map[string]any {
-	return map[string]any{
-		"submitted": tc.submitted.Value(),
-		"hits":      tc.hits.Value(),
-		"completed": tc.completed.Value(),
-		"failed":    tc.failed.Value(),
-		"canceled":  tc.canceled.Value(),
-		"rejected":  tc.rejected.Value(),
-		"migrated":  tc.migrated.Value(),
+	d := make(map[string]any, len(tc))
+	for f, n := range tc {
+		d[tcNames[f]] = n
 	}
+	return d
 }

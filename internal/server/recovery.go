@@ -11,7 +11,8 @@ import (
 )
 
 // This file is the server side of crash recovery: applyReplay folds
-// what journal.Open recovered into a live job table, and the small
+// what journal.Open recovered into a live job table (through restore,
+// which replica adoption shares), and the small
 // helpers around it (logEvent, snapshotJobs, compactMaybe,
 // closeJournal) keep the journal in step with the table afterwards.
 
@@ -42,8 +43,8 @@ func (s *Server) logEvent(ev journal.Event) error {
 // terminal record, is skipped — so replaying events the snapshot
 // already covers (the crash-between-snapshot-and-truncate window)
 // changes nothing, and a completed job can never be resurrected or
-// double-counted. Jobs that were accepted or started but not finished
-// come back as queued and are re-enqueued in their original order.
+// double-counted. Jobs that were accepted but not finished come back
+// as queued and are re-enqueued in their original order.
 func (s *Server) applyReplay() {
 	rep := s.replay
 	if s.journal == nil || rep == nil {
@@ -57,54 +58,7 @@ func (s *Server) applyReplay() {
 		if err != nil {
 			continue // undecodable record; drop rather than refuse to boot
 		}
-		s.register(j, rec.IdemKey)
-		// Rebuild the counters the recovered jobs would have produced
-		// live — global and per-tenant — preserving submitted == hits +
-		// terminal + rejected on both axes.
-		s.metrics.inc(&s.metrics.submitted)
-		s.metrics.tinc(j.tenant, tcSubmitted)
-		//thermlint:handoff -- the unfinished (default) arm re-enqueues: the requeued job settles when it runs
-		switch State(rec.State) {
-		case StateDone:
-			if rec.FromCache {
-				s.metrics.inc(&s.metrics.cacheHits)
-				s.metrics.tinc(j.tenant, tcHits)
-			} else {
-				s.metrics.inc(&s.metrics.cacheMisses)
-				s.metrics.inc(&s.metrics.completed)
-				s.metrics.tinc(j.tenant, tcCompleted)
-			}
-			if len(rec.Result) > 0 && rec.Key != "" {
-				// Warm the result cache so resubmissions of recovered
-				// work stay hits across the restart.
-				s.cache.put(rec.Key, rec.Result)
-			}
-		case StateFailed:
-			s.metrics.inc(&s.metrics.cacheMisses)
-			s.metrics.inc(&s.metrics.failed)
-			s.metrics.tinc(j.tenant, tcFailed)
-		case StateCanceled:
-			s.metrics.inc(&s.metrics.cacheMisses)
-			s.metrics.inc(&s.metrics.canceled)
-			s.metrics.tinc(j.tenant, tcCanceled)
-		case StateMigrated:
-			s.metrics.inc(&s.metrics.cacheMisses)
-			s.metrics.inc(&s.metrics.migrated)
-			s.metrics.tinc(j.tenant, tcMigrated)
-		default:
-			s.metrics.inc(&s.metrics.cacheMisses)
-			// Re-classify at requeue time: the predictor may have trained
-			// since this job was first admitted (or be empty after a cold
-			// restart, defaulting the class to short).
-			j.setClass(s.predictor.Predict(j.pkey))
-			if err := s.sched.requeue(j); err != nil {
-				if j.cancelQueued("recovery requeue failed: " + err.Error()) {
-					s.metrics.inc(&s.metrics.canceled)
-					s.metrics.tinc(j.tenant, tcCanceled)
-				}
-				//thermlint:handoff -- settled just above under the cancelQueued settle-once guard
-				continue
-			}
+		if s.restore(j, rec) {
 			requeued++
 		}
 	}
@@ -122,6 +76,55 @@ func (s *Server) applyReplay() {
 	s.replayStats.replayed = uint64(len(rep.Events))
 	s.replayStats.truncated = uint64(rep.TruncatedRecords)
 	s.replayStats.recovered = requeued
+}
+
+// restore takes over one job rebuilt from a journal record — this
+// node's own at crash recovery, or a peer's at adoption: it registers
+// the job, counts it under its recorded state (rebuilding the counters
+// the job produced live, so the accounting identity holds), warms the
+// result cache with a recovered result, and re-enqueues unfinished
+// work. It reports whether the job was re-enqueued.
+func (s *Server) restore(j *job, rec *journal.JobRecord) bool {
+	s.register(j, rec.IdemKey)
+	s.metrics.tinc(j.tenant, tcSubmitted)
+	switch State(rec.State) {
+	case StateDone:
+		if rec.FromCache {
+			s.metrics.tinc(j.tenant, tcHits)
+		} else {
+			s.metrics.inc(&s.metrics.cacheMisses)
+			s.metrics.tinc(j.tenant, tcCompleted)
+		}
+		if len(rec.Result) > 0 && rec.Key != "" {
+			// Resubmissions of recovered work stay hits across the restart.
+			s.cache.put(rec.Key, rec.Result)
+		}
+	case StateFailed:
+		s.metrics.inc(&s.metrics.cacheMisses)
+		s.metrics.tinc(j.tenant, tcFailed)
+	case StateCanceled:
+		s.metrics.inc(&s.metrics.cacheMisses)
+		s.metrics.tinc(j.tenant, tcCanceled)
+	case StateMigrated:
+		s.metrics.inc(&s.metrics.cacheMisses)
+		s.metrics.tinc(j.tenant, tcMigrated)
+	default:
+		s.metrics.inc(&s.metrics.cacheMisses)
+		// Re-classify at requeue time: the predictor may have trained
+		// since this job was first admitted (or be empty after a cold
+		// restart, defaulting the class to short).
+		j.setClass(s.predictor.Predict(j.pkey))
+		if err := s.sched.requeue(j); err != nil {
+			if j.cancelQueued("requeue failed: " + err.Error()) {
+				s.metrics.tinc(j.tenant, tcCanceled)
+			}
+			//thermlint:handoff -- settled just above under the cancelQueued settle-once guard
+			return false
+		}
+		//thermlint:handoff -- the re-enqueued job settles when it runs
+		return true
+	}
+	return false
 }
 
 // foldEvents rebuilds job records from a snapshot plus WAL events, in
@@ -145,54 +148,40 @@ func foldEvents(snap *journal.Snapshot, events []journal.Event) []*journal.JobRe
 			recs[rec.ID] = &rec
 		}
 	}
-	terminal := func(state string) bool {
-		switch State(state) {
-		case StateDone, StateFailed, StateCanceled, StateMigrated:
-			return true
-		}
-		return false
-	}
 	for _, ev := range events {
-		switch ev.Type {
-		case journal.EventAccepted:
-			if _, ok := recs[ev.ID]; ok {
+		rec, known := recs[ev.ID]
+		if ev.Type == journal.EventAccepted {
+			if !known {
+				recs[ev.ID] = &journal.JobRecord{
+					ID: ev.ID, Spec: ev.Spec, Key: ev.Key, IdemKey: ev.IdemKey,
+					Tenant: ev.Tenant,
+					State:  string(StateQueued), Submitted: ev.At,
+				}
+				order = append(order, ev.ID)
+			}
+			continue
+		}
+		if !known {
+			continue
+		}
+		if _, done := terminalEvents[State(rec.State)]; done {
+			continue
+		}
+		if ev.Type == journal.EventStarted {
+			// Legacy record, one per executed job in journals written
+			// before terminal events carried Started: keep its time.
+			rec.Started = ev.At
+			continue
+		}
+		for state, typ := range terminalEvents {
+			if typ != ev.Type {
 				continue
 			}
-			recs[ev.ID] = &journal.JobRecord{
-				ID: ev.ID, Spec: ev.Spec, Key: ev.Key, IdemKey: ev.IdemKey,
-				Tenant: ev.Tenant,
-				State:  string(StateQueued), Submitted: ev.At,
-			}
-			order = append(order, ev.ID)
-		case journal.EventStarted:
-			if rec, ok := recs[ev.ID]; ok && !terminal(rec.State) {
-				rec.State = string(StateRunning)
-				rec.Started = ev.At
-			}
-		case journal.EventCompleted:
-			if rec, ok := recs[ev.ID]; ok && !terminal(rec.State) {
-				rec.State = string(StateDone)
-				rec.Result = ev.Result
-				rec.FromCache = ev.FromCache
-				rec.Finished = ev.At
-			}
-		case journal.EventFailed:
-			if rec, ok := recs[ev.ID]; ok && !terminal(rec.State) {
-				rec.State = string(StateFailed)
-				rec.Error = ev.Error
-				rec.Finished = ev.At
-			}
-		case journal.EventCanceled:
-			if rec, ok := recs[ev.ID]; ok && !terminal(rec.State) {
-				rec.State = string(StateCanceled)
-				rec.Error = ev.Error
-				rec.Finished = ev.At
-			}
-		case journal.EventMigrated:
-			if rec, ok := recs[ev.ID]; ok && !terminal(rec.State) {
-				rec.State = string(StateMigrated)
-				rec.MigratedTo = ev.MigratedTo
-				rec.Finished = ev.At
+			rec.State = string(state)
+			rec.Error, rec.Result, rec.FromCache, rec.MigratedTo = ev.Error, ev.Result, ev.FromCache, ev.MigratedTo
+			rec.Finished = ev.At
+			if ev.Started != "" {
+				rec.Started = ev.Started
 			}
 		}
 	}

@@ -61,6 +61,21 @@ func waitAppends(t *testing.T, s *Server, want uint64) {
 	t.Fatalf("journal appends never reached %d (at %d)", want, s.journal.Stats().Appends)
 }
 
+// liveMetrics renders a server's /metrics document without an HTTP
+// round trip, decoded the way a client sees it.
+func liveMetrics(t *testing.T, s *Server) map[string]any {
+	t.Helper()
+	b, err := json.Marshal(s.Metrics())
+	if err != nil {
+		t.Fatalf("encode metrics: %v", err)
+	}
+	var doc map[string]any
+	if err := json.Unmarshal(b, &doc); err != nil {
+		t.Fatalf("decode metrics: %v", err)
+	}
+	return doc
+}
+
 // copyCrashImage snapshots a journal directory's files byte-for-byte
 // into a fresh dir, simulating the on-disk state a kill -9 leaves.
 func copyCrashImage(t *testing.T, from string) string {
@@ -85,8 +100,8 @@ func copyCrashImage(t *testing.T, from string) string {
 // buildCrashImage runs a journaling server to a known mid-flight state
 // — job 1 completed, job 2 started (executor parked), job 3 queued —
 // and returns a point-in-time copy of its journal directory. The WAL
-// holds exactly 6 events: accepted(1), started(1), accepted(2),
-// accepted(3), completed(1), started(2).
+// holds exactly 4 events: accepted(1), accepted(2), accepted(3),
+// completed(1).
 func buildCrashImage(t *testing.T) (dir string, ids [3]string) {
 	t.Helper()
 	jdir := t.TempDir()
@@ -113,12 +128,12 @@ func buildCrashImage(t *testing.T) (dir string, ids [3]string) {
 		}
 		ids[i] = st.ID
 	}
-	waitAppends(t, s, 4) // 3 accepted + started(1); the worker is parked on job 1
+	waitAppends(t, s, 3) // 3 accepted; the send below waits for the worker parked on job 1
 	release <- struct{}{}
 	waitState(t, ts, ids[0], StateDone)
-	// Job 1's completed event plus job 2's started event (the single
-	// worker moves straight on) bring the WAL to 6 frames.
-	waitAppends(t, s, 6)
+	// Job 1's completed event brings the WAL to 4 frames; job 2's start
+	// (the single worker moves straight on) writes none.
+	waitAppends(t, s, 4)
 	return copyCrashImage(t, jdir), ids
 }
 
@@ -181,8 +196,8 @@ func TestRestartRecoversCrashImage(t *testing.T) {
 	waitState(t, ts, ids[2], StateDone)
 
 	doc := metricsDoc(t, ts)
-	if got := counter(t, doc, "journal", "replayed"); got != 6 {
-		t.Errorf("journal.replayed = %v, want 6", got)
+	if got := counter(t, doc, "journal", "replayed"); got != 4 {
+		t.Errorf("journal.replayed = %v, want 4", got)
 	}
 	if got := counter(t, doc, "journal", "recovered_jobs"); got != 2 {
 		t.Errorf("journal.recovered_jobs = %v, want 2", got)
@@ -265,22 +280,23 @@ func TestTornWriteSweep(t *testing.T) {
 				t.Fatalf("prefix %d: recovered unknown job id %s", n, id)
 			}
 		}
-		if got := int(s.metrics.submitted.Value()); got != len(s.jobs) {
+		doc := liveMetrics(t, s)
+		if got := int(counter(t, doc, "jobs", "submitted")); got != len(s.jobs) {
 			t.Fatalf("prefix %d: submitted = %d but table has %d jobs", n, got, len(s.jobs))
 		}
-		if got := s.metrics.completed.Value(); got > 1 {
-			t.Fatalf("prefix %d: completed = %d; a torn tail resurrected a completed job twice", n, got)
+		if got := counter(t, doc, "jobs", "completed"); got > 1 {
+			t.Fatalf("prefix %d: completed = %v; a torn tail resurrected a completed job twice", n, got)
 		}
 		if got := s.sched.len(); got != pending {
 			t.Fatalf("prefix %d: queue holds %d jobs but %d are pending (%d terminal) — a terminal job was re-enqueued",
 				n, got, pending, done)
 		}
 		// The accounting identity holds modulo still-pending work.
-		terminal := s.metrics.cacheHits.Value() + s.metrics.completed.Value() +
-			s.metrics.failed.Value() + s.metrics.canceled.Value() + s.metrics.rejected.Value()
-		if s.metrics.submitted.Value() != terminal+uint64(pending) {
-			t.Fatalf("prefix %d: submitted=%d != terminal %d + pending %d",
-				n, s.metrics.submitted.Value(), terminal, pending)
+		terminal := counter(t, doc, "cache", "hits") + counter(t, doc, "jobs", "completed") +
+			counter(t, doc, "jobs", "failed") + counter(t, doc, "jobs", "canceled") + counter(t, doc, "jobs", "rejected")
+		if submitted := counter(t, doc, "jobs", "submitted"); submitted != terminal+float64(pending) {
+			t.Fatalf("prefix %d: submitted=%v != terminal %v + pending %d",
+				n, submitted, terminal, pending)
 		}
 		s.journal.Close()
 	}
@@ -324,8 +340,8 @@ func TestReplaySnapshotWALOverlap(t *testing.T) {
 	if len(s.jobs) != 1 {
 		t.Fatalf("job table has %d entries, want 1", len(s.jobs))
 	}
-	if got := s.metrics.completed.Value(); got != 1 {
-		t.Fatalf("completed = %d, want exactly 1 (idempotent overlap replay)", got)
+	if got := counter(t, liveMetrics(t, s), "jobs", "completed"); got != 1 {
+		t.Fatalf("completed = %v, want exactly 1 (idempotent overlap replay)", got)
 	}
 	if got := s.sched.len(); got != 0 {
 		t.Fatalf("queue holds %d jobs; the done job must not re-run", got)

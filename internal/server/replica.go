@@ -210,70 +210,24 @@ func (s *Server) adoptOrigin(origin string) (adopted, aliased, requeued int) {
 			aliased++
 			continue
 		}
-		recCopy := *rec
-		recCopy.ID = localID
-		j, err := newJobFromRecord(recCopy, s.cfg.Clock)
+		rec.ID = localID
+		j, err := newJobFromRecord(*rec, s.cfg.Clock)
 		if err != nil {
 			continue // undecodable record; drop rather than refuse the rest
 		}
 		j.markAdopted()
-		s.register(j, rec.IdemKey)
 		s.adoptedJobs.Add(1)
 		adopted++
-		s.metrics.inc(&s.metrics.submitted)
-		s.metrics.tinc(j.tenant, tcSubmitted)
-		//thermlint:handoff -- the unfinished (default) arm re-enqueues: the adopted job settles when it runs
-		switch State(recCopy.State) {
-		case StateDone:
-			if recCopy.FromCache {
-				s.metrics.inc(&s.metrics.cacheHits)
-				s.metrics.tinc(j.tenant, tcHits)
-			} else {
-				s.metrics.inc(&s.metrics.cacheMisses)
-				s.metrics.inc(&s.metrics.completed)
-				s.metrics.tinc(j.tenant, tcCompleted)
-			}
-			if len(recCopy.Result) > 0 && recCopy.Key != "" {
-				s.cache.put(recCopy.Key, recCopy.Result)
-			}
-		case StateFailed:
-			s.metrics.inc(&s.metrics.cacheMisses)
-			s.metrics.inc(&s.metrics.failed)
-			s.metrics.tinc(j.tenant, tcFailed)
-		case StateCanceled:
-			s.metrics.inc(&s.metrics.cacheMisses)
-			s.metrics.inc(&s.metrics.canceled)
-			s.metrics.tinc(j.tenant, tcCanceled)
-		case StateMigrated:
-			s.metrics.inc(&s.metrics.cacheMisses)
-			s.metrics.inc(&s.metrics.migrated)
-			s.metrics.tinc(j.tenant, tcMigrated)
-		default:
-			s.metrics.inc(&s.metrics.cacheMisses)
-			j.setClass(s.predictor.Predict(j.pkey))
-			if err := s.sched.requeue(j); err != nil {
-				if j.cancelQueued("adoption requeue failed: " + err.Error()) {
-					s.metrics.inc(&s.metrics.canceled)
-					s.metrics.tinc(j.tenant, tcCanceled)
-				}
-				//thermlint:handoff -- settled just above under the cancelQueued settle-once guard
-				continue
-			}
+		requeue := s.restore(j, rec)
+		if requeue {
 			requeued++
 		}
 		// Best-effort durability + onward chain replication: the adopted
 		// job enters OUR journal (and streams to OUR successor), so a
 		// second failure down the chain still loses nothing acked.
 		s.logEvent(acceptedEvent(j, rec.IdemKey))
-		switch State(recCopy.State) {
-		case StateDone:
-			s.logEvent(journal.Event{Type: journal.EventCompleted, ID: j.id, Result: recCopy.Result, FromCache: recCopy.FromCache})
-		case StateFailed:
-			s.logEvent(journal.Event{Type: journal.EventFailed, ID: j.id, Error: recCopy.Error})
-		case StateCanceled:
-			s.logEvent(journal.Event{Type: journal.EventCanceled, ID: j.id, Error: recCopy.Error})
-		case StateMigrated:
-			s.logEvent(journal.Event{Type: journal.EventMigrated, ID: j.id, MigratedTo: recCopy.MigratedTo})
+		if !requeue {
+			s.logEvent(j.terminalEvent())
 		}
 	}
 	if requeued > 0 {
@@ -392,9 +346,8 @@ func (s *Server) handleMigrate(w http.ResponseWriter, r *http.Request) {
 			j.revertMigrated()
 			if perr := s.sched.push(j); perr != nil {
 				if j.cancelQueued("migration revert requeue failed: " + perr.Error()) {
-					s.metrics.inc(&s.metrics.canceled)
 					s.metrics.tinc(j.tenant, tcCanceled)
-					s.logEvent(journal.Event{Type: journal.EventCanceled, ID: j.id, Error: "migration revert requeue failed"})
+					s.logEvent(j.terminalEvent())
 				}
 			}
 		}
@@ -402,9 +355,8 @@ func (s *Server) handleMigrate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	for _, j := range marked {
-		s.metrics.inc(&s.metrics.migrated)   //thermlint:settled -- markMigrated's settle-once CAS admitted this job to marked exactly once; counting waited on the replica handoff
-		s.metrics.tinc(j.tenant, tcMigrated) //thermlint:settled -- same settle-once CAS as the line above
-		s.logEvent(journal.Event{Type: journal.EventMigrated, ID: j.id, MigratedTo: req.TargetName})
+		s.metrics.tinc(j.tenant, tcMigrated) //thermlint:settled -- markMigrated's settle-once CAS admitted this job to marked exactly once; counting waited on the replica handoff
+		s.logEvent(j.terminalEvent())
 		j.cancel() // terminal locally now that the handoff is confirmed
 	}
 	httpjson.Write(w, http.StatusOK, map[string]any{"migrated": len(marked), "target": req.TargetName})

@@ -71,15 +71,14 @@ func TestReplicaAdoptEndToEnd(t *testing.T) {
 	release <- struct{}{} // job 1 finishes
 	waitState(t, tsa, st1.ID, StateDone)
 
-	// The sync policy means both acks and job 1's start already imply
-	// replica appends (3 events). Job 1's completed event is streamed
-	// after its state turns done, so wait for it (event 4); job 2's
-	// start can only follow it. Adopting before it lands would requeue
-	// the finished job.
+	// The sync policy means both acks already imply replica appends (2
+	// events). Job 1's completed event is streamed after its state
+	// turns done, so wait for it (event 3). Adopting before it lands
+	// would requeue the finished job.
 	deadline := time.Now().Add(5 * time.Second)
-	for sb.replica.receivedEvents() < 4 {
+	for sb.replica.receivedEvents() < 3 {
 		if time.Now().After(deadline) {
-			t.Fatalf("successor received %d replica events, want >= 4", sb.replica.receivedEvents())
+			t.Fatalf("successor received %d replica events, want >= 3", sb.replica.receivedEvents())
 		}
 		time.Sleep(time.Millisecond)
 	}

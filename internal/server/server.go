@@ -165,14 +165,8 @@ type Config struct {
 	// keeps all state in memory.
 	JournalDir string
 	// FsyncPolicy is the journal's append durability policy: "always"
-	// (default), "interval", or "off". Ignored without JournalDir.
+	// (default) or "off". Ignored without JournalDir.
 	FsyncPolicy string
-	// FsyncEvery spaces journal syncs under the "interval" policy;
-	// 0 means 100ms.
-	FsyncEvery time.Duration
-	// JournalCompactBytes is the WAL size that triggers snapshot
-	// compaction; 0 means 4 MiB.
-	JournalCompactBytes int64
 	// NoRecover discards any persisted journal state at startup instead
 	// of replaying it.
 	NoRecover bool
@@ -350,14 +344,7 @@ func New(cfg Config) (*Server, error) {
 		if err != nil {
 			return nil, err
 		}
-		jnl, rep, err := journal.Open(journal.Options{
-			Dir:          cfg.JournalDir,
-			Fsync:        pol,
-			FsyncEvery:   cfg.FsyncEvery,
-			CompactBytes: cfg.JournalCompactBytes,
-			Faults:       cfg.Faults,
-			Clock:        cfg.Clock,
-		})
+		jnl, rep, err := journal.Open(journal.Options{Dir: cfg.JournalDir, Fsync: pol, Faults: cfg.Faults})
 		if err != nil {
 			return nil, err
 		}
@@ -456,9 +443,8 @@ func (s *Server) Drain(ctx context.Context) error {
 	defer s.watchdogOnce.Do(func() { close(s.watchdogStop) })
 	for _, j := range s.sched.drainPending() {
 		if j.cancelQueued("server shutting down") {
-			s.metrics.inc(&s.metrics.canceled)
 			s.metrics.tinc(j.tenant, tcCanceled)
-			s.logEvent(journal.Event{Type: journal.EventCanceled, ID: j.id, Error: "server shutting down"})
+			s.logEvent(j.terminalEvent())
 		}
 	}
 	s.sched.close()
@@ -551,10 +537,9 @@ func (s *Server) reapStuck() {
 			continue // settled in the meantime; nothing to reap
 		}
 		j.cancel()
-		s.metrics.inc(&s.metrics.failed)
 		s.metrics.tinc(j.tenant, tcFailed)
 		s.metrics.inc(&s.metrics.workerRestarts)
-		s.logEvent(journal.Event{Type: journal.EventFailed, ID: j.id, Error: msg})
+		s.logEvent(j.terminalEvent())
 		// Release the scheduler's slot charge for the reaped job; the
 		// straggling executor's own deferred release becomes a no-op.
 		s.sched.finished(j)
@@ -575,7 +560,6 @@ func (s *Server) runJob(j *job) {
 	if !j.tryStart() {
 		return // canceled while queued; already counted
 	}
-	s.logEvent(journal.Event{Type: journal.EventStarted, ID: j.id})
 	s.running.Add(1)
 	defer s.running.Add(-1)
 	ctx := j.ctx
@@ -589,38 +573,33 @@ func (s *Server) runJob(j *job) {
 	switch {
 	case panicked:
 		if j.finishRunning(StateFailed, nil, "recovered "+err.Error()) {
-			s.metrics.inc(&s.metrics.failed)
 			s.metrics.tinc(j.tenant, tcFailed)
 			s.metrics.inc(&s.metrics.panicsRecovered)
-			s.logEvent(journal.Event{Type: journal.EventFailed, ID: j.id, Error: "recovered panic"})
+			s.logEvent(j.terminalEvent())
 		}
 	case j.ctx.Err() != nil:
 		if j.finishRunning(StateCanceled, nil, "canceled: "+j.ctx.Err().Error()) {
-			s.metrics.inc(&s.metrics.canceled)
 			s.metrics.tinc(j.tenant, tcCanceled)
-			s.logEvent(journal.Event{Type: journal.EventCanceled, ID: j.id, Error: j.ctx.Err().Error()})
+			s.logEvent(j.terminalEvent())
 		}
 	case err != nil && ctx.Err() == context.DeadlineExceeded:
 		msg := fmt.Sprintf("deadline exceeded: job ran %s against a %s job timeout",
 			s.cfg.Clock.Since(start).Round(time.Millisecond), s.cfg.JobTimeout)
 		if j.finishRunning(StateFailed, nil, msg) {
-			s.metrics.inc(&s.metrics.failed)
 			s.metrics.tinc(j.tenant, tcFailed)
 			s.metrics.inc(&s.metrics.deadlineExceeded)
-			s.logEvent(journal.Event{Type: journal.EventFailed, ID: j.id, Error: msg})
+			s.logEvent(j.terminalEvent())
 		}
 	case err != nil:
 		if j.finishRunning(StateFailed, nil, err.Error()) {
-			s.metrics.inc(&s.metrics.failed)
 			s.metrics.tinc(j.tenant, tcFailed)
-			s.logEvent(journal.Event{Type: journal.EventFailed, ID: j.id, Error: err.Error()})
+			s.logEvent(j.terminalEvent())
 		}
 	default:
 		if j.finishRunning(StateDone, res, "") {
 			s.cache.put(j.key, res)
-			s.metrics.inc(&s.metrics.completed)
 			s.metrics.tinc(j.tenant, tcCompleted)
-			s.logEvent(journal.Event{Type: journal.EventCompleted, ID: j.id, Result: res})
+			s.logEvent(j.terminalEvent())
 		}
 	}
 	s.metrics.observeLatency(j.spec.Kind, s.cfg.Clock.Since(start))
@@ -845,8 +824,6 @@ func (s *Server) admit(spec Spec, idemKey, tenant string) (st Status, code int, 
 		}
 		s.mu.Unlock()
 		if j != nil {
-			s.metrics.inc(&s.metrics.submitted)
-			s.metrics.inc(&s.metrics.cacheHits)
 			s.metrics.inc(&s.metrics.deduped)
 			s.metrics.tinc(tenant, tcSubmitted)
 			s.metrics.tinc(tenant, tcHits)
@@ -858,17 +835,15 @@ func (s *Server) admit(spec Spec, idemKey, tenant string) (st Status, code int, 
 		return Status{}, http.StatusBadRequest, false, fmt.Errorf("invalid job: %w", err)
 	}
 	j.tenant = tenant
-	s.metrics.inc(&s.metrics.submitted)
 	s.metrics.tinc(tenant, tcSubmitted)
 	if res, ok := s.cache.get(j.key); ok {
-		s.metrics.inc(&s.metrics.cacheHits)
 		s.metrics.tinc(tenant, tcHits)
 		j.finishFromCache(res)
 		s.register(j, idemKey)
 		// Best-effort journaling: the 200 response already carries the
 		// result, so losing this record costs only post-restart dedup.
 		s.logEvent(acceptedEvent(j, idemKey))
-		s.logEvent(journal.Event{Type: journal.EventCompleted, ID: j.id, Result: res, FromCache: true})
+		s.logEvent(j.terminalEvent())
 		return j.status(), http.StatusOK, false, nil
 	}
 	s.metrics.inc(&s.metrics.cacheMisses)
@@ -876,13 +851,11 @@ func (s *Server) admit(spec Spec, idemKey, tenant string) (st Status, code int, 
 	// 429 + Retry-After before it can occupy queue space. Cache hits
 	// and dedups above are free — quotas meter execution capacity.
 	if ferr := s.faults.Fire(FaultQuota); ferr != nil {
-		s.metrics.inc(&s.metrics.rejected)
 		s.metrics.inc(&s.metrics.quotaRejects)
 		s.metrics.tinc(tenant, tcRejected)
 		return Status{}, http.StatusTooManyRequests, false, &quotaError{tenant: tenant, retryAfter: 1}
 	}
 	if ok, retry := s.quotas.Take(tenant, s.cfg.Clock.Now()); !ok {
-		s.metrics.inc(&s.metrics.rejected)
 		s.metrics.inc(&s.metrics.quotaRejects)
 		s.metrics.tinc(tenant, tcRejected)
 		return Status{}, http.StatusTooManyRequests, false,
@@ -892,14 +865,12 @@ func (s *Server) admit(spec Spec, idemKey, tenant string) (st Status, code int, 
 	// technically possible — a 429 the client can back off on beats a
 	// 503 storm when the queue finally overflows.
 	if shedding, retryAfter := s.brownout(); shedding {
-		s.metrics.inc(&s.metrics.rejected)
 		s.metrics.inc(&s.metrics.brownoutRejects)
 		s.metrics.tinc(tenant, tcRejected)
 		return Status{}, http.StatusTooManyRequests, false,
 			&brownoutError{wait: s.sched.oldestWait(), retryAfter: retryAfter}
 	}
 	if err := s.faults.Fire(FaultAdmit); err != nil {
-		s.metrics.inc(&s.metrics.rejected)
 		s.metrics.tinc(tenant, tcRejected)
 		return Status{}, http.StatusServiceUnavailable, false, err
 	}
@@ -917,7 +888,6 @@ func (s *Server) admit(spec Spec, idemKey, tenant string) (st Status, code int, 
 	s.register(j, idemKey)
 	if err := s.logEvent(acceptedEvent(j, idemKey)); err != nil {
 		s.unregister(j, idemKey)
-		s.metrics.inc(&s.metrics.rejected)
 		s.metrics.tinc(tenant, tcRejected)
 		return Status{}, http.StatusServiceUnavailable, false,
 			fmt.Errorf("journal write failed; job not accepted: %w", err)
@@ -928,9 +898,8 @@ func (s *Server) admit(spec Spec, idemKey, tenant string) (st Status, code int, 
 		// roll back the registration so a retry of the same idempotency
 		// key re-enqueues instead of deduping to a dead job.
 		j.cancelQueued("queue rejected job")
-		s.logEvent(journal.Event{Type: journal.EventCanceled, ID: j.id, Error: "queue rejected job at admission"})
+		s.logEvent(j.terminalEvent())
 		s.unregister(j, idemKey)
-		s.metrics.inc(&s.metrics.rejected)
 		s.metrics.tinc(tenant, tcRejected)
 		return Status{}, http.StatusServiceUnavailable, false, err
 	}
@@ -949,8 +918,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		// Count the rejection as a submission too, preserving the
 		// accounting identity submitted == hits + terminal outcomes.
-		s.metrics.inc(&s.metrics.submitted)
-		s.metrics.inc(&s.metrics.rejected)
 		s.metrics.tinc(tenantOrDefault(tenant), tcSubmitted)
 		s.metrics.tinc(tenantOrDefault(tenant), tcRejected)
 		httpjson.Error(w, http.StatusServiceUnavailable, "server is draining; not accepting jobs")
@@ -1019,9 +986,8 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	}
 	if j.cancelQueued("canceled by client") {
 		// Never started; the worker will skip it when popped.
-		s.metrics.inc(&s.metrics.canceled)
 		s.metrics.tinc(j.tenant, tcCanceled)
-		s.logEvent(journal.Event{Type: journal.EventCanceled, ID: j.id, Error: "canceled by client"})
+		s.logEvent(j.terminalEvent())
 		httpjson.Write(w, http.StatusOK, j.status())
 		return
 	}
