@@ -32,9 +32,8 @@ import (
 // must sit in the then-branch of an `if guard()` (or after an
 // `if !guard() { return/continue }`) where guard is a function marked
 // //thermlint:settleonce — an exactly-once state transition such as a
-// CAS — or carry //thermlint:settled -- why. Returns that intentionally
-// leave an obligation open (the 202-accepted handoff to a worker) carry
-// //thermlint:handoff -- why.
+// CAS. Returns that intentionally leave an obligation open (the
+// 202-accepted handoff to a worker) carry //thermlint:handoff -- why.
 //
 // A merge identity requires the package to mark its metrics-merging
 // function //thermlint:metricsmerge and checks it preserves linearity:
@@ -523,8 +522,7 @@ func (w *acctWalker) member(obj types.Object) bool {
 
 // site applies one increment site to the path state: a left-side site
 // opens an obligation; a right-side site settles the open one, or —
-// with none open — must be justified by a settleonce guard or a
-// //thermlint:settled annotation.
+// with none open — must sit under a settleonce guard.
 func (w *acctWalker) site(obj types.Object, pos token.Pos, st *acctState) {
 	if w.id.lhs[obj] {
 		st.pending++
@@ -537,10 +535,7 @@ func (w *acctWalker) site(obj types.Object, pos token.Pos, st *acctState) {
 		st.pending--
 		return
 	}
-	if w.pass.Allowed(pos, "settled") {
-		return
-	}
-	w.pass.Reportf(pos, "%q incremented with no open %q obligation and no settleonce guard (guard it with an `if <settleonce fn>` transition, or annotate //thermlint:settled -- why)",
+	w.pass.Reportf(pos, "%q incremented with no open %q obligation and no settleonce guard (guard it with an `if <settleonce fn>` transition)",
 		obj.Name(), w.id.decl.lhs)
 }
 

@@ -25,12 +25,11 @@
 //	//thermlint:timer -- why         allows one raw time.Timer/Ticker/Sleep/After
 //	//thermlint:identity O: l = a+b  declares a counter accounting identity (acctid)
 //	//thermlint:settleonce           marks a func as an exactly-once settlement guard
-//	//thermlint:settled -- why       allows one settlement outside a guard
 //	//thermlint:handoff -- why       allows one return that defers settlement
 //	//thermlint:metricsmerge         marks a func as a linear metrics-doc merge
 //
 // Line directives (wallclock, unordered, blocking, locked, goroutine,
-// timer, settled, handoff) attach to the line they trail or the line
+// timer, handoff) attach to the line they trail or the line
 // immediately below when they stand alone; the `-- why` justification
 // is required reading for reviewers, not parsed.
 //

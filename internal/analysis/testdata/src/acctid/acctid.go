@@ -95,11 +95,6 @@ func negatedGuardSettle(cs *counters) {
 	cs.failed.Inc()
 }
 
-func annotatedSettle(cs *counters) {
-	//thermlint:settled -- rebuilt from the journal during replay
-	cs.completed.Inc()
-}
-
 //thermlint:identity evKind: evSubmit = evDone + evFail
 type evKind int
 

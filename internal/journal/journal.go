@@ -78,7 +78,8 @@ const (
 	// torn-write restore path a short write or ENOSPC would take.
 	FaultAppend = "journal.append"
 	// FaultFsync fires before an fsync: an error action surfaces as a
-	// failed append under FsyncAlways (the ack is withheld).
+	// failed append under FsyncAlways (the ack is withheld and the
+	// unsynced frame rolled back).
 	FaultFsync = "journal.fsync"
 	// FaultSnapshot fires before a snapshot write: an error action
 	// aborts compaction, leaving the WAL intact.
@@ -430,12 +431,14 @@ func frame(payload []byte) []byte {
 
 // Append journals one event under the configured fsync policy. When it
 // returns nil the event is recorded (durably so under FsyncAlways);
-// when it returns an error the caller must not acknowledge the
-// transition. A failed write restores the last good frame boundary
-// (truncate + seek back over the torn half-frame) before returning, so
-// later appends land on a clean boundary and stay replayable; if the
-// restore itself fails the journal seals and every later Append errors
-// rather than silently stranding acked events behind a torn frame.
+// when it returns an error the event is not in the WAL and the caller
+// must not acknowledge the transition. A failed write or fsync
+// restores the last good frame boundary (truncate + seek back over the
+// torn or unsynced frame) before returning, so later appends land on a
+// clean boundary and a replay never finds a record its caller was told
+// failed; if the restore itself fails the journal seals and every
+// later Append errors rather than silently stranding acked events
+// behind a torn frame.
 func (j *Journal) Append(ev Event) error {
 	payload, err := json.Marshal(ev)
 	if err != nil {
@@ -460,14 +463,16 @@ func (j *Journal) Append(ev Event) error {
 	n, err := j.f.Write(buf)
 	j.size += int64(n)
 	if err != nil {
+		err = fmt.Errorf("journal: append: %w", err)
+	} else if j.opts.Fsync != FsyncOff {
+		err = j.syncLocked()
+	}
+	if err != nil {
 		j.restoreTailLocked(prev)
-		return fmt.Errorf("journal: append: %w", err)
+		return err
 	}
 	j.appends++
-	if j.opts.Fsync == FsyncOff {
-		return nil
-	}
-	return j.syncLocked()
+	return nil
 }
 
 // restoreTailLocked rolls the WAL back to the frame boundary at prev

@@ -363,12 +363,20 @@ func TestFaultInjectedFsyncFailsAppend(t *testing.T) {
 	if err := reg.Arm("journal.fsync=error:fsync eio,count:1", 1); err != nil {
 		t.Fatal(err)
 	}
-	j, _ := open(t, Options{Dir: t.TempDir(), Fsync: FsyncAlways, Faults: reg})
+	dir := t.TempDir()
+	j, _ := open(t, Options{Dir: dir, Fsync: FsyncAlways, Faults: reg})
 	if err := j.Append(ev(EventAccepted, "job-000001")); err == nil {
 		t.Fatal("injected fsync fault under fsync=always should fail the append")
 	}
 	if err := j.Append(ev(EventAccepted, "job-000002")); err != nil {
 		t.Fatalf("append after spent fault: %v", err)
+	}
+	j.Close()
+	// A failed append means the record is not in the WAL: a replay
+	// must not find the event its caller was told failed.
+	_, rep := open(t, Options{Dir: dir})
+	if len(rep.Events) != 1 || rep.Events[0].ID != "job-000002" {
+		t.Fatalf("replay after a failed fsync = %+v, want only job-000002", rep.Events)
 	}
 }
 

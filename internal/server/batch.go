@@ -3,7 +3,6 @@ package server
 import (
 	"encoding/json"
 	"net/http"
-	"sort"
 	"strconv"
 
 	"thermalherd/internal/httpjson"
@@ -150,12 +149,7 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	}
 	s.metrics.inc(&s.metrics.listRequests)
 
-	s.mu.Lock()
-	jobs := make([]*job, 0, len(s.jobs))
-	for _, j := range s.jobs {
-		jobs = append(jobs, j)
-	}
-	s.mu.Unlock()
+	jobs, _ := s.sortedJobs()
 	statuses := make([]Status, 0, len(jobs))
 	for _, j := range jobs {
 		st := j.status()
@@ -167,9 +161,6 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 		}
 		statuses = append(statuses, st)
 	}
-	// Job ids are zero-padded and monotonic, so lexicographic order is
-	// submission order.
-	sort.Slice(statuses, func(i, k int) bool { return statuses[i].ID < statuses[k].ID })
 
 	resp := ListResponse{Total: len(statuses), Offset: offset, Jobs: []Status{}}
 	if offset < len(statuses) {

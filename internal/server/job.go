@@ -199,6 +199,13 @@ const (
 	StateMigrated State = "migrated"
 )
 
+// stateHeld is the durable state of a queued job that migration is
+// shipping to another node: no worker, cancel or drain can take it,
+// and clients still see it queued. It is never published or
+// journaled as an event; a snapshot taken meanwhile restores it as
+// queued.
+const stateHeld State = "held"
+
 // terminalEvents names the journal event that records each terminal
 // state.
 var terminalEvents = map[State]journal.EventType{
@@ -266,8 +273,15 @@ type job struct {
 	// on it to exit in favor of its replacement.
 	abandoned chan struct{}
 
-	mu        sync.Mutex
+	mu sync.Mutex
+	// state is the durable view — what the journal, compaction, the
+	// watchdog and the settle-once claim read — and shown is what
+	// clients see. They differ only while a claimed transition waits
+	// for settle to journal and publish it (or migration holds the job).
+	// err, result, migratedTo and finished belong to state: status and
+	// snapshotResult hide them until it is published.
 	state     State
+	shown     State
 	err       string
 	result    json.RawMessage
 	progress  Progress
@@ -304,6 +318,7 @@ func newJob(id string, spec Spec, clk clock.Clock) (*job, error) {
 		cancel:    cancel,
 		abandoned: make(chan struct{}),
 		state:     StateQueued,
+		shown:     StateQueued,
 		submitted: clk.Now(),
 	}, nil
 }
@@ -316,7 +331,7 @@ func (j *job) status() Status {
 		ID:          j.id,
 		Kind:        j.spec.Kind,
 		SpecHash:    j.key,
-		State:       j.state,
+		State:       j.shown,
 		Error:       j.err,
 		Tenant:      j.tenant,
 		Class:       j.class,
@@ -332,6 +347,9 @@ func (j *job) status() Status {
 	if !j.finished.IsZero() {
 		st.FinishedAt = j.finished.Format(time.RFC3339Nano)
 	}
+	if j.shown != j.state {
+		st.Error, st.MigratedTo, st.FinishedAt = "", "", "" // not yet published
+	}
 	return st
 }
 
@@ -343,7 +361,7 @@ func (j *job) tryStart() bool {
 	if j.state != StateQueued {
 		return false
 	}
-	j.state = StateRunning
+	j.state, j.shown = StateRunning, StateRunning
 	j.started = j.clk.Now()
 	return true
 }
@@ -355,29 +373,48 @@ func (j *job) setProgress(completed, total int) {
 	j.mu.Unlock()
 }
 
-// finishRunning moves a running job to its terminal state. It reports
-// false without touching the job when the job is not running — the
-// settle-once guard that keeps the worker, the watchdog, and an
-// abandoned executor straggling back from settling the same job twice
-// (the winner also owns the matching metrics and cache updates).
+// claim is the settle-once compare-and-swap every terminal transition
+// goes through: it moves the durable state from → to and records the
+// outcome (detail is the error message, or the adopting node for
+// StateMigrated). It reports false without touching the job when the
+// job is not in from, which keeps the worker, the watchdog, a
+// straggling abandoned executor, cancel, drain and migration from
+// settling one job twice. Clients see nothing of it until publish.
 //
 //thermlint:settleonce
-func (j *job) finishRunning(state State, result json.RawMessage, errMsg string) bool {
+func (j *job) claim(from, to State, result json.RawMessage, detail string) bool {
 	j.mu.Lock()
-	if j.state != StateRunning {
-		j.mu.Unlock()
+	defer j.mu.Unlock()
+	if j.state != from {
 		return false
 	}
-	j.state = state
-	j.result = result
-	j.err = errMsg
+	j.state, j.result, j.err, j.migratedTo = to, result, detail, ""
+	if to == StateMigrated {
+		j.err, j.migratedTo = "", detail
+	}
 	j.finished = j.clk.Now()
-	if state == StateDone && j.progress.Total > 0 {
+	if to == StateDone && j.progress.Total > 0 {
 		j.progress.Completed = j.progress.Total
 	}
-	j.mu.Unlock()
-	j.cancel() // release the context's resources
 	return true
+}
+
+// unclaim drops a claim that was never published, returning the
+// durable view to what clients see; migration uses it to release held
+// jobs when the handoff fails.
+func (j *job) unclaim() {
+	j.mu.Lock()
+	j.state, j.result, j.err, j.migratedTo, j.finished = j.shown, nil, "", "", time.Time{}
+	j.mu.Unlock()
+}
+
+// publish makes the claimed transition visible to clients and releases
+// the job's context.
+func (j *job) publish() {
+	j.mu.Lock()
+	j.shown = j.state
+	j.mu.Unlock()
+	j.cancel()
 }
 
 // setClass records the cost predictor's admission verdict.
@@ -423,45 +460,12 @@ func (j *job) runningSince(cutoff time.Time) bool {
 func (j *job) finishFromCache(result json.RawMessage) {
 	j.mu.Lock()
 	j.fromCache = true
-	j.state = StateDone
+	j.state, j.shown = StateDone, StateDone
 	j.result = result
 	now := j.clk.Now()
 	j.started, j.finished = now, now
 	j.mu.Unlock()
 	j.cancel()
-}
-
-// markMigrated transitions queued → migrated, recording the adopting
-// node; it reports false if the job is no longer queued (a worker beat
-// the herding to it, or it already settled). The settle-once CAS is
-// what makes drain herding loss-free without double-running: a job is
-// either frozen here (and counted migrated after the handoff lands) or
-// stays with this node. The context is deliberately NOT canceled — the
-// revert path needs the job live if the handoff fails.
-//
-//thermlint:settleonce
-func (j *job) markMigrated(target string) bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.state != StateQueued {
-		return false
-	}
-	j.state = StateMigrated
-	j.migratedTo = target
-	j.finished = j.clk.Now()
-	return true
-}
-
-// revertMigrated undoes markMigrated when the replica handoff fails,
-// restoring the job to queued so it runs locally after all.
-func (j *job) revertMigrated() {
-	j.mu.Lock()
-	if j.state == StateMigrated {
-		j.state = StateQueued
-		j.migratedTo = ""
-		j.finished = time.Time{}
-	}
-	j.mu.Unlock()
 }
 
 // markAdopted flags a job taken over from a dead or draining peer.
@@ -476,39 +480,17 @@ func (j *job) markAdopted() {
 func (j *job) adoptedPending() bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if !j.adopted {
-		return false
-	}
-	switch j.state {
-	case StateQueued, StateRunning:
-		return true
-	}
-	return false
+	return j.adopted && (j.state == StateQueued || j.state == StateRunning)
 }
 
-// cancelQueued transitions queued → canceled; it reports false if the
-// job had already started (the caller then cancels the context
-// instead).
-//
-//thermlint:settleonce
-func (j *job) cancelQueued(reason string) bool {
-	j.mu.Lock()
-	if j.state != StateQueued {
-		j.mu.Unlock()
-		return false
-	}
-	j.state = StateCanceled
-	j.err = reason
-	j.finished = j.clk.Now()
-	j.mu.Unlock()
-	j.cancel()
-	return true
-}
-
-// snapshotResult returns the terminal state and result.
+// snapshotResult returns the published state and, once published,
+// its result and error.
 func (j *job) snapshotResult() (State, json.RawMessage, string) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	if j.shown != j.state {
+		return j.shown, nil, ""
+	}
 	return j.state, j.result, j.err
 }
 
@@ -593,21 +575,16 @@ func newJobFromRecord(rec journal.JobRecord, clk clock.Clock) (*job, error) {
 		started:   parseEventTime(rec.Started),
 		finished:  parseEventTime(rec.Finished),
 	}
-	switch State(rec.State) {
-	case StateDone, StateFailed, StateCanceled:
-		j.state = State(rec.State)
-		j.cancel() // terminal; release the context immediately
-	case StateMigrated:
-		j.state = StateMigrated
-		j.migratedTo = rec.MigratedTo
-		j.cancel() // terminal locally; the adopting node owns it now
-	default:
-		// queued or running: both restart from the queue.
-		j.state = StateQueued
-		j.started = time.Time{}
-		j.finished = time.Time{}
-		j.err = ""
-		j.result = nil
+	if _, terminal := terminalEvents[State(rec.State)]; terminal {
+		// Terminal (locally, for a migrated job: the adopting node owns
+		// it now); release the context immediately.
+		j.state, j.migratedTo = State(rec.State), rec.MigratedTo
+		j.cancel()
+	} else {
+		// queued, running or held by a migration: all restart from the
+		// queue.
+		j.state, j.started, j.finished, j.err, j.result = StateQueued, time.Time{}, time.Time{}, "", nil
 	}
+	j.shown = j.state
 	return j, nil
 }

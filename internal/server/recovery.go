@@ -1,13 +1,11 @@
 package server
 
 import (
-	"sort"
 	"strconv"
 	"strings"
 	"time"
 
 	"thermalherd/internal/journal"
-	"thermalherd/internal/replication"
 )
 
 // This file is the server side of crash recovery: applyReplay folds
@@ -16,25 +14,27 @@ import (
 // helpers around it (logEvent, snapshotJobs, compactMaybe,
 // closeJournal) keep the journal in step with the table afterwards.
 
-// logEvent journals one lifecycle transition, stamping the timestamp,
-// then replicates it to the ring successor per the configured policy.
-// It is a no-op with neither a journal nor a streamer. Admission treats
-// a failure as a rejection (the durability promise is the ack) — under
+// logEvent journals one lifecycle transition, then replicates it to
+// the ring successor per the configured policy. Admission treats a
+// failure as a rejection (the durability promise is the ack) — under
 // the sync policy that includes the successor's append, which is
-// exactly the zero-acked-loss guarantee; later transitions call it
-// best-effort — a lost terminal event only means the job re-runs after
-// a crash, which content-addressed execution makes safe.
+// exactly the zero-acked-loss guarantee. Terminal transitions go
+// through settle instead, which tells a local failure from a
+// replication one.
 func (s *Server) logEvent(ev journal.Event) error {
-	if s.journal == nil && s.cfg.Repl.Policy() == replication.PolicyNone {
-		return nil
-	}
-	ev.At = s.cfg.Clock.Now().Format(time.RFC3339Nano)
-	if s.journal != nil {
-		if err := s.journal.Append(ev); err != nil {
-			return err
-		}
+	if err := s.appendEvent(&ev); err != nil {
+		return err
 	}
 	return s.cfg.Repl.Replicate(ev)
+}
+
+// appendEvent stamps ev and appends it to the local journal, if any.
+func (s *Server) appendEvent(ev *journal.Event) error {
+	ev.At = s.cfg.Clock.Now().Format(time.RFC3339Nano)
+	if s.journal == nil {
+		return nil
+	}
+	return s.journal.Append(*ev)
 }
 
 // applyReplay rebuilds the job table from the journal's snapshot plus
@@ -58,6 +58,7 @@ func (s *Server) applyReplay() {
 		if err != nil {
 			continue // undecodable record; drop rather than refuse to boot
 		}
+		s.register(j, rec.IdemKey)
 		if s.restore(j, rec) {
 			requeued++
 		}
@@ -78,14 +79,13 @@ func (s *Server) applyReplay() {
 	s.replayStats.recovered = requeued
 }
 
-// restore takes over one job rebuilt from a journal record — this
-// node's own at crash recovery, or a peer's at adoption: it registers
-// the job, counts it under its recorded state (rebuilding the counters
-// the job produced live, so the accounting identity holds), warms the
+// restore takes over one registered job rebuilt from a journal record
+// — this node's own at crash recovery, or a peer's at adoption: it
+// counts the job under its recorded state (rebuilding the counters the
+// job produced live, so the accounting identity holds), warms the
 // result cache with a recovered result, and re-enqueues unfinished
 // work. It reports whether the job was re-enqueued.
 func (s *Server) restore(j *job, rec *journal.JobRecord) bool {
-	s.register(j, rec.IdemKey)
 	s.metrics.tinc(j.tenant, tcSubmitted)
 	switch State(rec.State) {
 	case StateDone:
@@ -114,15 +114,12 @@ func (s *Server) restore(j *job, rec *journal.JobRecord) bool {
 		// since this job was first admitted (or be empty after a cold
 		// restart, defaulting the class to short).
 		j.setClass(s.predictor.Predict(j.pkey))
-		if err := s.sched.requeue(j); err != nil {
-			if j.cancelQueued("requeue failed: " + err.Error()) {
-				s.metrics.tinc(j.tenant, tcCanceled)
-			}
-			//thermlint:handoff -- settled just above under the cancelQueued settle-once guard
-			return false
+		err := s.sched.requeue(j)
+		if err != nil {
+			s.settle(j, StateQueued, StateCanceled, nil, "requeue failed: "+err.Error(), nil)
 		}
-		//thermlint:handoff -- the re-enqueued job settles when it runs
-		return true
+		//thermlint:handoff -- a re-enqueued job settles when it runs; a refused one settled just above
+		return err == nil
 	}
 	return false
 }
@@ -205,17 +202,7 @@ func parseJobID(id string) (uint64, bool) {
 // snapshotJobs folds the current job table into journal records,
 // sorted by id for deterministic snapshots.
 func (s *Server) snapshotJobs() []journal.JobRecord {
-	s.mu.Lock()
-	jobs := make([]*job, 0, len(s.jobs))
-	for _, j := range s.jobs {
-		jobs = append(jobs, j)
-	}
-	idemByID := make(map[string]string, len(s.idem))
-	for key, id := range s.idem {
-		idemByID[id] = key
-	}
-	s.mu.Unlock()
-	sort.Slice(jobs, func(i, k int) bool { return jobs[i].id < jobs[k].id })
+	jobs, idemByID := s.sortedJobs()
 	recs := make([]journal.JobRecord, len(jobs))
 	for i, j := range jobs {
 		recs[i] = j.record(idemByID[j.id])
@@ -227,16 +214,26 @@ func (s *Server) snapshotJobs() []journal.JobRecord {
 // threshold. The table copy and the WAL truncation are atomic with
 // respect to appends (Compact holds the journal lock across both), and
 // every lifecycle path mutates the job table before journaling its
-// event (admission registers before appending; workers settle the job
-// before appending), so any event the truncation drops is already
-// covered by the snapshot and any event not yet covered lands in the
-// fresh WAL — an acked job is never lost to the compaction window.
+// event (admission registers before appending; settle claims the
+// transition, which the snapshot's durable view reads, before
+// appending and publishes it only after), so any event the truncation
+// drops is already covered by the snapshot and any event not yet
+// covered lands in the fresh WAL — an acked job is never lost to the
+// compaction window, and a client never sees an outcome neither holds.
 func (s *Server) compactMaybe() {
-	if s.journal == nil || !s.journal.ShouldCompact() {
-		return
+	if s.journal != nil && s.journal.ShouldCompact() {
+		s.compact(false)
 	}
+}
+
+// compact folds the job table into the snapshot. Holding settling
+// keeps each settle's claim and append on one side of the capture, so
+// a claim whose append the journal refuses is never snapshotted.
+func (s *Server) compact(clean bool) {
+	s.settling.Lock()
+	defer s.settling.Unlock()
 	s.journal.Compact(func() journal.Snapshot {
-		return journal.Snapshot{Jobs: s.snapshotJobs()}
+		return journal.Snapshot{Clean: clean, Jobs: s.snapshotJobs()}
 	})
 }
 
@@ -244,11 +241,8 @@ func (s *Server) compactMaybe() {
 // written as a clean snapshot so the next boot replays zero records,
 // then the WAL is closed.
 func (s *Server) closeJournal() {
-	if s.journal == nil {
-		return
+	if s.journal != nil {
+		s.compact(true)
+		s.journal.Close()
 	}
-	s.journal.Compact(func() journal.Snapshot {
-		return journal.Snapshot{Clean: true, Jobs: s.snapshotJobs()}
-	})
-	s.journal.Close()
 }

@@ -9,7 +9,6 @@ import (
 	"net/url"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -218,16 +217,18 @@ func (s *Server) adoptOrigin(origin string) (adopted, aliased, requeued int) {
 		j.markAdopted()
 		s.adoptedJobs.Add(1)
 		adopted++
-		requeue := s.restore(j, rec)
-		if requeue {
-			requeued++
-		}
 		// Best-effort durability + onward chain replication: the adopted
-		// job enters OUR journal (and streams to OUR successor), so a
-		// second failure down the chain still loses nothing acked.
+		// job enters OUR journal (and streams to OUR successor) before it
+		// can run and settle, so a second failure down the chain still
+		// loses nothing acked. Registering first keeps the table ahead of
+		// the journal for compaction.
+		s.register(j, rec.IdemKey)
 		s.logEvent(acceptedEvent(j, rec.IdemKey))
-		if !requeue {
+		if _, terminal := terminalEvents[State(rec.State)]; terminal {
 			s.logEvent(j.terminalEvent())
+		}
+		if s.restore(j, rec) {
+			requeued++
 		}
 	}
 	if requeued > 0 {
@@ -292,13 +293,14 @@ type migrateRequest struct {
 var migrateClient = &http.Client{Timeout: 5 * time.Second}
 
 // handleMigrate herds every still-queued job to the target node: each
-// is frozen with the markMigrated settle-once CAS (a worker that pops
-// it afterwards skips it), their acceptance records are shipped to the
-// target's replica store and adopted there, and only then are they
-// settled as migrated here. If the handoff fails everything reverts to
-// queued and runs locally — a failed migration degrades to a normal
-// drain, it never loses a job. Jobs that slipped into running before
-// the CAS stay and finish here.
+// is held with the settle-once claim (a worker, cancel or drain that
+// reaches it afterwards finds it no longer queued, while clients still
+// see it queued), their acceptance records are shipped to the target's
+// replica store and adopted there, and only then are they settled as
+// migrated here. If the handoff fails every held job is released back
+// to queued and runs locally — a failed migration degrades to a normal
+// drain, it never loses a job, and no client ever saw it migrated.
+// Jobs that slipped into running before the claim stay and finish here.
 func (s *Server) handleMigrate(w http.ResponseWriter, r *http.Request) {
 	var req migrateRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
@@ -311,55 +313,39 @@ func (s *Server) handleMigrate(w http.ResponseWriter, r *http.Request) {
 		httpjson.Error(w, http.StatusBadRequest, "migrate requires target_name and target_url")
 		return
 	}
-	s.mu.Lock()
-	jobs := make([]*job, 0, len(s.jobs))
-	for _, j := range s.jobs {
-		jobs = append(jobs, j)
-	}
-	idemByID := make(map[string]string, len(s.idem))
-	for key, id := range s.idem {
-		idemByID[id] = key
-	}
-	s.mu.Unlock()
-	sort.Slice(jobs, func(i, k int) bool { return jobs[i].id < jobs[k].id })
-
-	var marked []*job
+	jobs, idemByID := s.sortedJobs()
+	var held []*job
 	var events []journal.Event
 	now := s.cfg.Clock.Now().Format(time.RFC3339Nano)
 	for _, j := range jobs {
-		if j.markMigrated(req.TargetName) {
-			marked = append(marked, j)
+		if j.claim(StateQueued, stateHeld, nil, "") {
+			held = append(held, j)
 			ev := acceptedEvent(j, idemByID[j.id])
 			ev.At = now
 			events = append(events, ev)
 		}
 	}
-	if len(marked) == 0 {
+	if len(held) == 0 {
 		httpjson.Write(w, http.StatusOK, map[string]any{"migrated": 0, "target": req.TargetName})
 		return
 	}
 	if err := shipMigration(req.TargetURL, s.cfg.NodeName, events); err != nil {
-		// Revert: back to queued, and re-push in case a worker popped
-		// (and skipped) a frozen job during the window. A duplicate
-		// queue entry is benign — tryStart's CAS absorbs the second pop.
-		for _, j := range marked {
-			j.revertMigrated()
+		// Release: back to queued, and re-push in case a worker popped
+		// (and skipped) a held job during the window. A duplicate queue
+		// entry is benign — tryStart's CAS absorbs the second pop.
+		for _, j := range held {
+			j.unclaim()
 			if perr := s.sched.push(j); perr != nil {
-				if j.cancelQueued("migration revert requeue failed: " + perr.Error()) {
-					s.metrics.tinc(j.tenant, tcCanceled)
-					s.logEvent(j.terminalEvent())
-				}
+				s.settle(j, StateQueued, StateCanceled, nil, "migration revert requeue failed: "+perr.Error(), nil)
 			}
 		}
 		httpjson.Error(w, http.StatusBadGateway, "migration to %s failed: %v", req.TargetName, err)
 		return
 	}
-	for _, j := range marked {
-		s.metrics.tinc(j.tenant, tcMigrated) //thermlint:settled -- markMigrated's settle-once CAS admitted this job to marked exactly once; counting waited on the replica handoff
-		s.logEvent(j.terminalEvent())
-		j.cancel() // terminal locally now that the handoff is confirmed
+	for _, j := range held {
+		s.settle(j, stateHeld, StateMigrated, nil, req.TargetName, nil)
 	}
-	httpjson.Write(w, http.StatusOK, map[string]any{"migrated": len(marked), "target": req.TargetName})
+	httpjson.Write(w, http.StatusOK, map[string]any{"migrated": len(held), "target": req.TargetName})
 }
 
 // shipMigration POSTs the frozen jobs' acceptance records to the

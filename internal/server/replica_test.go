@@ -3,9 +3,11 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -71,18 +73,6 @@ func TestReplicaAdoptEndToEnd(t *testing.T) {
 	release <- struct{}{} // job 1 finishes
 	waitState(t, tsa, st1.ID, StateDone)
 
-	// The sync policy means both acks already imply replica appends (2
-	// events). Job 1's completed event is streamed after its state
-	// turns done, so wait for it (event 3). Adopting before it lands
-	// would requeue the finished job.
-	deadline := time.Now().Add(5 * time.Second)
-	for sb.replica.receivedEvents() < 3 {
-		if time.Now().After(deadline) {
-			t.Fatalf("successor received %d replica events, want >= 3", sb.replica.receivedEvents())
-		}
-		time.Sleep(time.Millisecond)
-	}
-
 	// "a" dies (we simply stop routing to it). Park b's worker so the
 	// recovering window is observable, then adopt.
 	released := make(chan struct{})
@@ -124,7 +114,7 @@ func TestReplicaAdoptEndToEnd(t *testing.T) {
 	}
 	close(released)
 	waitState(t, tsb, st2.ID+"@a", StateDone)
-	deadline = time.Now().Add(5 * time.Second)
+	deadline := time.Now().Add(5 * time.Second)
 	for {
 		code, _ = readyzDoc(t, tsb)
 		if code == http.StatusOK {
@@ -275,28 +265,79 @@ func TestMigrateHerdsQueuedJobs(t *testing.T) {
 	}
 }
 
-// TestMigrateRevertOnFailure: an unreachable target reverts every
-// frozen job to queued — a failed migration degrades to running the
-// work locally, never to losing it.
+// TestMigrateRevertOnFailure: a failed handoff releases every held job
+// back to queued — a failed migration degrades to running the work
+// locally, never to losing it, and no client ever sees the job
+// migrated. Two failures: a target that stalls and then refuses the
+// handoff (during the stall the job reads queued, and a cancel answers
+// 409 naming the migration), and an unreachable one.
 func TestMigrateRevertOnFailure(t *testing.T) {
+	t.Run("stall-then-500", func(t *testing.T) {
+		arrived, refuse := make(chan struct{}), make(chan struct{})
+		var arrive, refuseOnce sync.Once
+		target := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			arrive.Do(func() { close(arrived) })
+			<-refuse
+			http.Error(w, "target refuses", http.StatusInternalServerError)
+		}))
+		t.Cleanup(target.Close)
+		refuseAll := func() { refuseOnce.Do(func() { close(refuse) }) }
+		t.Cleanup(refuseAll) // unblocks the handler before target.Close waits on it
+		migrateAndRevert(t, target.URL, func(tsa *httptest.Server, id string) {
+			<-arrived
+			for i := 0; i < 20; i++ {
+				if st := getStatus(t, tsa, id); st.State != StateQueued {
+					t.Fatalf("job during the handoff = %s, want queued", st.State)
+				}
+				time.Sleep(2 * time.Millisecond)
+			}
+			req, _ := http.NewRequest(http.MethodDelete, tsa.URL+"/v1/jobs/"+id, nil)
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatalf("cancel: %v", err)
+			}
+			msg, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusConflict || !strings.Contains(string(msg), "migrated") {
+				t.Fatalf("cancel during the handoff = %d %s, want 409 naming the migration", resp.StatusCode, msg)
+			}
+			refuseAll()
+		})
+	})
+	t.Run("unreachable", func(t *testing.T) {
+		dead := httptest.NewServer(http.NotFoundHandler())
+		dead.Close()
+		migrateAndRevert(t, dead.URL, func(*httptest.Server, string) {})
+	})
+}
+
+// migrateAndRevert migrates a node with one running and one queued job
+// to a target that fails the handoff, calling during while the
+// migration is in flight, and checks that the queued job is released
+// to queued and then runs locally.
+func migrateAndRevert(t *testing.T, targetURL string, during func(tsa *httptest.Server, queuedID string)) {
+	t.Helper()
 	sa, tsa := newTestServer(t, Config{Workers: 1, QueueDepth: 16, CacheSize: 16, NodeName: "a"})
 	release := make(chan struct{})
 	stubExec(sa, blockingExec(release))
-
 	_, stRunning := postJob(t, tsa, specBody(21))
 	_, stQueued := postJob(t, tsa, specBody(22))
 	waitState(t, tsa, stRunning.ID, StateRunning)
 
-	dead := httptest.NewServer(http.NotFoundHandler())
-	dead.Close()
-	body := `{"target_name":"x","target_url":"` + dead.URL + `"}`
-	mresp, err := http.Post(tsa.URL+"/v1/migrate", "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatalf("migrate: %v", err)
-	}
-	mresp.Body.Close()
-	if mresp.StatusCode != http.StatusBadGateway {
-		t.Fatalf("migrate to dead target = %s, want 502", mresp.Status)
+	body := `{"target_name":"x","target_url":"` + targetURL + `"}`
+	migrated := make(chan int, 1)
+	go func() {
+		mresp, err := http.Post(tsa.URL+"/v1/migrate", "application/json", strings.NewReader(body))
+		if err != nil {
+			migrated <- 0
+			return
+		}
+		mresp.Body.Close()
+		migrated <- mresp.StatusCode
+	}()
+	during(tsa, stQueued.ID)
+	if code := <-migrated; code != http.StatusBadGateway {
+		t.Fatalf("migrate with a failing handoff = %d, want 502", code)
 	}
 	if st := getStatus(t, tsa, stQueued.ID); st.State != StateQueued {
 		t.Fatalf("job after failed migration = %s, want queued", st.State)

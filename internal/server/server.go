@@ -36,6 +36,7 @@ import (
 	"fmt"
 	"net/http"
 	"runtime"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -50,6 +51,7 @@ import (
 	"thermalherd/internal/journal"
 	"thermalherd/internal/qos"
 	"thermalherd/internal/replication"
+	"thermalherd/internal/stats"
 	"thermalherd/internal/trace"
 )
 
@@ -260,6 +262,10 @@ type Server struct {
 	replay      *journal.Replay
 	recovering  atomic.Bool
 	replayStats struct{ replayed, truncated, recovered uint64 }
+	// settling is held shared by each settle from its claim through its
+	// append and exclusively by compaction, so a snapshot never holds a
+	// claimed outcome whose record the journal then refuses.
+	settling sync.RWMutex
 
 	running  atomic.Int64
 	draining atomic.Bool
@@ -384,11 +390,10 @@ func (s *Server) Start() {
 	if s.journal != nil {
 		// Boot compaction: fold the recovered table into a snapshot so
 		// the WAL restarts empty and the next crash replays only events
-		// from this incarnation. Capture under the journal lock — the
-		// handler may already be serving admissions.
-		s.journal.Compact(func() journal.Snapshot {
-			return journal.Snapshot{Jobs: s.snapshotJobs()}
-		})
+		// from this incarnation. compact captures under the journal
+		// lock and settling — the handler may already be serving
+		// admissions and cancels.
+		s.compact(false)
 	}
 	s.recovering.Store(false)
 	for i := 0; i < s.cfg.Workers; i++ {
@@ -442,10 +447,7 @@ func (s *Server) Drain(ctx context.Context) error {
 	}
 	defer s.watchdogOnce.Do(func() { close(s.watchdogStop) })
 	for _, j := range s.sched.drainPending() {
-		if j.cancelQueued("server shutting down") {
-			s.metrics.tinc(j.tenant, tcCanceled)
-			s.logEvent(j.terminalEvent())
-		}
+		s.settle(j, StateQueued, StateCanceled, nil, "server shutting down", nil)
 	}
 	s.sched.close()
 	done := make(chan struct{})
@@ -453,11 +455,9 @@ func (s *Server) Drain(ctx context.Context) error {
 		s.wg.Wait()
 		close(done)
 	}()
+	var err error
 	select {
 	case <-done:
-		s.cfg.Repl.Close()
-		s.closeJournal()
-		return nil
 	case <-ctx.Done():
 		// Deadline passed: cancel whatever is still running and wait
 		// for the workers to notice (the runner checks between
@@ -470,10 +470,11 @@ func (s *Server) Drain(ctx context.Context) error {
 		s.mu.Unlock()
 		//thermlint:blocking -- every job was just canceled; workers check ctx between phases and the watchdog retires slots that ignore it, so done closes promptly
 		<-done
-		s.cfg.Repl.Close()
-		s.closeJournal()
-		return ctx.Err()
+		err = ctx.Err()
 	}
+	s.cfg.Repl.Close()
+	s.closeJournal()
+	return err
 }
 
 // worker owns one pool slot: it drains the queue until closed and
@@ -533,13 +534,9 @@ func (s *Server) reapStuck() {
 	s.mu.Unlock()
 	for _, j := range stuck {
 		msg := fmt.Sprintf("watchdog: job stuck for over %s; worker slot restarted", s.cfg.StuckAfter)
-		if !j.finishRunning(StateFailed, nil, msg) {
+		if !s.settle(j, StateRunning, StateFailed, nil, msg, &s.metrics.workerRestarts) {
 			continue // settled in the meantime; nothing to reap
 		}
-		j.cancel()
-		s.metrics.tinc(j.tenant, tcFailed)
-		s.metrics.inc(&s.metrics.workerRestarts)
-		s.logEvent(j.terminalEvent())
 		// Release the scheduler's slot charge for the reaped job; the
 		// straggling executor's own deferred release becomes a no-op.
 		s.sched.finished(j)
@@ -570,40 +567,73 @@ func (s *Server) runJob(j *job) {
 	}
 	start := s.cfg.Clock.Now()
 	res, err, panicked := s.execJob(ctx, j)
+	state, msg := StateDone, ""
+	var cause *stats.Counter // the sub-counter attributing a failure
 	switch {
 	case panicked:
-		if j.finishRunning(StateFailed, nil, "recovered "+err.Error()) {
-			s.metrics.tinc(j.tenant, tcFailed)
-			s.metrics.inc(&s.metrics.panicsRecovered)
-			s.logEvent(j.terminalEvent())
-		}
+		state, msg, cause = StateFailed, "recovered "+err.Error(), &s.metrics.panicsRecovered
 	case j.ctx.Err() != nil:
-		if j.finishRunning(StateCanceled, nil, "canceled: "+j.ctx.Err().Error()) {
-			s.metrics.tinc(j.tenant, tcCanceled)
-			s.logEvent(j.terminalEvent())
-		}
+		state, msg = StateCanceled, "canceled: "+j.ctx.Err().Error()
 	case err != nil && ctx.Err() == context.DeadlineExceeded:
-		msg := fmt.Sprintf("deadline exceeded: job ran %s against a %s job timeout",
+		state, cause = StateFailed, &s.metrics.deadlineExceeded
+		msg = fmt.Sprintf("deadline exceeded: job ran %s against a %s job timeout",
 			s.cfg.Clock.Since(start).Round(time.Millisecond), s.cfg.JobTimeout)
-		if j.finishRunning(StateFailed, nil, msg) {
-			s.metrics.tinc(j.tenant, tcFailed)
-			s.metrics.inc(&s.metrics.deadlineExceeded)
-			s.logEvent(j.terminalEvent())
-		}
 	case err != nil:
-		if j.finishRunning(StateFailed, nil, err.Error()) {
-			s.metrics.tinc(j.tenant, tcFailed)
-			s.logEvent(j.terminalEvent())
-		}
-	default:
-		if j.finishRunning(StateDone, res, "") {
-			s.cache.put(j.key, res)
-			s.metrics.tinc(j.tenant, tcCompleted)
-			s.logEvent(j.terminalEvent())
-		}
+		state, msg = StateFailed, err.Error()
 	}
+	if state != StateDone {
+		res = nil
+	}
+	s.settle(j, StateRunning, state, res, msg, cause)
 	s.metrics.observeLatency(j.spec.Kind, s.cfg.Clock.Since(start))
 	s.compactMaybe()
+}
+
+// settle is the only terminal transition of an acknowledged job, and
+// it makes the outcome durable before any client can see it: claim the
+// transition from state from (the settle-once CAS), append its record,
+// replicate it, count it, cache a done result, and only then publish
+// it. A refused append leaves nothing in the WAL (and settling keeps
+// compaction out from between claim and append), so the job settles
+// failed with the journal error instead — unless it migrated, as the
+// adopter already holds it — and its record is appended again, best
+// effort. A failed replication after a good append is counted in
+// repl.stream_errors. detail is the error message, or the adopting
+// node for StateMigrated; cause, when non-nil, is a sub-counter
+// attributing why (panics, deadlines, watchdog restarts). It reports
+// false, changing nothing, when the job is not in from.
+func (s *Server) settle(j *job, from, to State, result json.RawMessage, detail string, cause *stats.Counter) bool {
+	s.settling.RLock()
+	if !j.claim(from, to, result, detail) {
+		s.settling.RUnlock()
+		return false
+	}
+	ev := j.terminalEvent()
+	if err := s.appendEvent(&ev); err != nil {
+		if to != StateMigrated {
+			j.claim(to, StateFailed, nil, "journal append failed: "+err.Error())
+			to, ev = StateFailed, j.terminalEvent()
+		}
+		s.appendEvent(&ev) // best effort: the journal just refused a record
+	}
+	s.settling.RUnlock()
+	s.cfg.Repl.Replicate(ev)
+	switch to {
+	case StateDone:
+		s.metrics.tinc(j.tenant, tcCompleted)
+		s.cache.put(j.key, result)
+	case StateFailed:
+		s.metrics.tinc(j.tenant, tcFailed)
+	case StateCanceled:
+		s.metrics.tinc(j.tenant, tcCanceled)
+	case StateMigrated:
+		s.metrics.tinc(j.tenant, tcMigrated)
+	}
+	if cause != nil {
+		s.metrics.inc(cause)
+	}
+	j.publish()
+	return true
 }
 
 // register stores j under a fresh id, recording its idempotency key
@@ -647,6 +677,24 @@ func (s *Server) lookup(id string) (*job, bool) {
 		id = next
 	}
 	return nil, false
+}
+
+// sortedJobs copies the job table in id order — submission order, as
+// ids are zero-padded and monotonic — with each job's idempotency key
+// by id.
+func (s *Server) sortedJobs() ([]*job, map[string]string) {
+	s.mu.Lock()
+	jobs := make([]*job, 0, len(s.jobs))
+	for _, j := range s.jobs {
+		jobs = append(jobs, j)
+	}
+	idemByID := make(map[string]string, len(s.idem))
+	for key, id := range s.idem {
+		idemByID[id] = key
+	}
+	s.mu.Unlock()
+	sort.Slice(jobs, func(i, k int) bool { return jobs[i].id < jobs[k].id })
+	return jobs, idemByID
 }
 
 // newID mints a monotonically increasing job id.
@@ -896,14 +944,16 @@ func (s *Server) admit(spec Spec, idemKey, tenant string) (st Status, code int, 
 		// The acceptance is journaled; record the cancellation so a
 		// replay does not resurrect a job the client saw rejected, and
 		// roll back the registration so a retry of the same idempotency
-		// key re-enqueues instead of deduping to a dead job.
-		j.cancelQueued("queue rejected job")
+		// key re-enqueues instead of deduping to a dead job. No client
+		// saw this job, so it is counted here as rejected, not settled.
+		j.claim(StateQueued, StateCanceled, nil, "queue rejected job")
 		s.logEvent(j.terminalEvent())
+		j.cancel()
 		s.unregister(j, idemKey)
 		s.metrics.tinc(tenant, tcRejected)
 		return Status{}, http.StatusServiceUnavailable, false, err
 	}
-	//thermlint:handoff -- the 202 hands the obligation to the worker: runJob (or the watchdog) settles it via finishRunning
+	//thermlint:handoff -- the 202 hands the obligation to the worker: runJob (or the watchdog) settles it via settle
 	return j.status(), http.StatusAccepted, false, nil
 }
 
@@ -984,10 +1034,8 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		httpjson.Error(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
 		return
 	}
-	if j.cancelQueued("canceled by client") {
+	if s.settle(j, StateQueued, StateCanceled, nil, "canceled by client", nil) {
 		// Never started; the worker will skip it when popped.
-		s.metrics.tinc(j.tenant, tcCanceled)
-		s.logEvent(j.terminalEvent())
 		httpjson.Write(w, http.StatusOK, j.status())
 		return
 	}
@@ -998,6 +1046,8 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		// observes the canceled context.
 		j.cancel()
 		httpjson.Write(w, http.StatusOK, st)
+	case StateQueued: // a migration's handoff, or another settle, holds it
+		httpjson.Error(w, http.StatusConflict, "job %s is being migrated or settled; retry the cancel", st.ID)
 	default:
 		httpjson.Error(w, http.StatusConflict, "job %s is already %s", st.ID, st.State)
 	}
