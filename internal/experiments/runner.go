@@ -241,10 +241,13 @@ func (r *Runner) PowerFor(cfg config.Machine, workload string) (*power.Breakdown
 	if err != nil {
 		return nil, err
 	}
-	fp := floorplan.Planar()
-	if cfg.ThreeD {
-		fp = floorplan.Stacked()
-	}
+	return PowerOf(cfg, workload, s)
+}
+
+// PowerOf computes the power breakdown of workload under cfg from its
+// simulation statistics s.
+func PowerOf(cfg config.Machine, workload string, s *cpu.Stats) (*power.Breakdown, error) {
+	fp, _ := floorplanFor(cfg)
 	b, err := power.Compute(cfg, s, fp)
 	if err != nil {
 		return nil, err
@@ -253,25 +256,22 @@ func (r *Runner) PowerFor(cfg config.Machine, workload string) (*power.Breakdown
 	return b, nil
 }
 
+// floorplanFor returns cfg's floorplan and the thermal stack builder
+// that goes with it.
+func floorplanFor(cfg config.Machine) (*floorplan.Floorplan, func(*floorplan.Floorplan, thermal.PowerFor, int, int) (*thermal.Stack, error)) {
+	if cfg.ThreeD {
+		return floorplan.Stacked(), thermal.BuildStacked
+	}
+	return floorplan.Planar(), thermal.BuildPlanar
+}
+
 // SolveThermal runs the thermal solver on a power breakdown.
 func (r *Runner) SolveThermal(cfg config.Machine, b *power.Breakdown) (*thermal.Solution, *floorplan.Floorplan, error) {
-	if cfg.ThreeD {
-		fp := floorplan.Stacked()
-		watts := func(u floorplan.Unit) float64 {
-			return b.UnitW[power.UnitKey{Block: u.Block, Core: u.Core, Die: u.Die}]
-		}
-		stack, err := thermal.BuildStacked(fp, watts, r.opts.Grid, r.opts.Grid)
-		if err != nil {
-			return nil, nil, err
-		}
-		sol, err := stack.Solve()
-		return sol, fp, err
-	}
-	fp := floorplan.Planar()
+	fp, build := floorplanFor(cfg)
 	watts := func(u floorplan.Unit) float64 {
 		return b.UnitW[power.UnitKey{Block: u.Block, Core: u.Core, Die: u.Die}]
 	}
-	stack, err := thermal.BuildPlanar(fp, watts, r.opts.Grid, r.opts.Grid)
+	stack, err := build(fp, watts, r.opts.Grid, r.opts.Grid)
 	if err != nil {
 		return nil, nil, err
 	}

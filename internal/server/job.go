@@ -44,8 +44,13 @@ type Depths struct {
 	FastForward uint64 `json:"fast_forward,omitempty"`
 	Warmup      uint64 `json:"warmup,omitempty"`
 	Measure     uint64 `json:"measure,omitempty"`
-	Grid        int    `json:"grid,omitempty"`
+	Grid        int    `json:"grid,omitempty"` // at most maxGrid
 }
+
+// maxGrid caps Depths.Grid. A thermal solve's memory grows with the
+// square of the grid, and running out of memory kills the whole
+// daemon, so an unbounded grid would let one submission take it down.
+const maxGrid = 128
 
 // options resolves the depths into concrete simulation options.
 func (d Depths) options() (experiments.Options, error) {
@@ -66,6 +71,9 @@ func (d Depths) options() (experiments.Options, error) {
 	}
 	if d.Measure > 0 {
 		o.MeasureInsts = d.Measure
+	}
+	if d.Grid > maxGrid {
+		return o, fmt.Errorf("depths.grid %d exceeds the maximum %d", d.Grid, maxGrid)
 	}
 	if d.Grid > 0 {
 		o.Grid = d.Grid

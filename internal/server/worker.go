@@ -132,17 +132,16 @@ func runTiming(r *experiments.Runner, spec Spec) (json.RawMessage, error) {
 
 // thermalResult is the JSON result of a thermal job.
 type thermalResult struct {
-	Workload   string  `json:"workload"`
-	Config     string  `json:"config"`
-	IPC        float64 `json:"ipc"`
-	DynamicW   float64 `json:"dynamic_w"`
-	ClockW     float64 `json:"clock_w"`
-	LeakageW   float64 `json:"leakage_w"`
-	TotalW     float64 `json:"total_w"`
-	PeakK      float64 `json:"peak_k"`
-	Hotspot    string  `json:"hotspot,omitempty"`
-	HotspotK   float64 `json:"hotspot_k,omitempty"`
-	Iterations int     `json:"solver_iterations"` // conjugate-gradient iterations of the steady-state solve
+	Workload string  `json:"workload"`
+	Config   string  `json:"config"`
+	IPC      float64 `json:"ipc"`
+	DynamicW float64 `json:"dynamic_w"`
+	ClockW   float64 `json:"clock_w"`
+	LeakageW float64 `json:"leakage_w"`
+	TotalW   float64 `json:"total_w"`
+	PeakK    float64 `json:"peak_k"`
+	Hotspot  string  `json:"hotspot,omitempty"`
+	HotspotK float64 `json:"hotspot_k,omitempty"`
 }
 
 func runThermal(r *experiments.Runner, spec Spec, report progressFunc, total int) (json.RawMessage, error) {
@@ -154,7 +153,7 @@ func runThermal(r *experiments.Runner, spec Spec, report progressFunc, total int
 	if err != nil {
 		return nil, err
 	}
-	b, err := r.PowerFor(cfg, spec.Workload)
+	b, err := experiments.PowerOf(cfg, spec.Workload, s)
 	if err != nil {
 		return nil, err
 	}
@@ -164,14 +163,13 @@ func runThermal(r *experiments.Runner, spec Spec, report progressFunc, total int
 	}
 	report(total, total)
 	res := thermalResult{
-		Workload:   spec.Workload,
-		Config:     cfg.Name,
-		IPC:        s.IPC(),
-		DynamicW:   b.DynamicW,
-		ClockW:     b.ClockW,
-		LeakageW:   b.LeakageW,
-		TotalW:     b.TotalW,
-		Iterations: sol.Iterations,
+		Workload: spec.Workload,
+		Config:   cfg.Name,
+		IPC:      s.IPC(),
+		DynamicW: b.DynamicW,
+		ClockW:   b.ClockW,
+		LeakageW: b.LeakageW,
+		TotalW:   b.TotalW,
 	}
 	res.PeakK, _, _, _ = sol.Peak()
 	if u, t, ok := thermal.HottestUnit(sol, fp); ok {

@@ -1,27 +1,13 @@
 package thermal
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
-// Solver constants shared by the steady-state and transient solves.
-const (
-	// cgTolK stops conjugate gradients once no cell's temperature moved
-	// by more than this many kelvin in the last iteration.
-	cgTolK = 1e-7
-	// cgMaxIters bounds one solve; the planar and stacked floorplans
-	// converge in under 40 iterations at grid 32 and under 70 at 64.
-	cgMaxIters = 20000
-)
-
-// system is the linear RC network of a stack, K·u = b, where u is each
-// cell's temperature rise above ambient. Cell (x, y) of layer l is
-// unknown l·n + y·Nx + x. Every layer is laterally uniform, so the
-// lateral and vertical conductances are per layer; only the diagonal
-// varies by cell (grid edges have fewer neighbours, the top layer
-// drains into the sink).
-type system struct {
+// network holds the conductances of a stack's RC network, K·u = b, where
+// u is each cell's temperature rise above ambient. Cell (x, y) of layer
+// l is unknown l·n + y·Nx + x. Every layer is laterally uniform, so all
+// conductances are per layer; the grid edges are adiabatic and only the
+// top layer drains into the sink.
+type network struct {
 	nx, ny, nl, n int
 	// gx, gy are the lateral conductances of each layer (W/K).
 	gx, gy []float64
@@ -29,246 +15,280 @@ type system struct {
 	gz []float64
 	// gSink ties each top-layer cell to ambient.
 	gSink float64
-	// diag is each cell's total conductance, plus any capacitive
-	// shift of a transient step.
-	diag []float64
-	// invPiv holds the reciprocal Thomas pivots of every vertical
-	// column's tridiagonal block, the preconditioner's first level.
-	invPiv []float64
-	// cor is the preconditioner's second, coarse level.
-	cor *coarse
-	// r holds the right-hand side until solve turns it into the
-	// residual.
-	r []float64
-	// p and zq are the other conjugate-gradient vectors. zq holds
-	// q = K·p until r is updated, then z = M⁻¹·r, which is first needed
-	// after q is dead.
-	p, zq []float64
 }
 
-// newSystem assembles the network of s. shift, if not nil, adds
-// shift[l] to the diagonal of every cell of layer l: the C/dt term of a
-// backward-Euler step.
-func newSystem(s *Stack, shift []float64) *system {
+func newNetwork(s *Stack) network {
 	nx, ny, nl := s.Nx, s.Ny, len(s.Layers)
 	n := nx * ny
 	cellArea := s.CellW * s.CellH
-	sys := &system{nx: nx, ny: ny, nl: nl, n: n,
+	net := network{nx: nx, ny: ny, nl: nl, n: n,
 		gx: make([]float64, nl), gy: make([]float64, nl), gz: make([]float64, nl)}
 	for l, layer := range s.Layers {
-		sys.gx[l] = layer.K * layer.Thickness * s.CellH / s.CellW
-		sys.gy[l] = layer.K * layer.Thickness * s.CellW / s.CellH
+		net.gx[l] = layer.K * layer.Thickness * s.CellH / s.CellW
+		net.gy[l] = layer.K * layer.Thickness * s.CellW / s.CellH
 	}
 	for l := 0; l < nl-1; l++ {
 		r := s.Layers[l].Thickness/(2*s.Layers[l].K) + s.Layers[l+1].Thickness/(2*s.Layers[l+1].K)
-		sys.gz[l] = cellArea / r
+		net.gz[l] = cellArea / r
 	}
 	// Sink: distributed over the top layer's cells, in series with half
 	// the top layer's vertical resistance.
 	rSinkCell := s.SinkR*float64(n) + s.Layers[0].Thickness/(2*s.Layers[0].K*cellArea)
-	sys.gSink = 1 / rSinkCell
+	net.gSink = 1 / rSinkCell
+	return net
+}
 
-	work := make([]float64, 5*nl*n)
-	next := func() []float64 {
-		v := work[: nl*n : nl*n]
-		work = work[nl*n:]
-		return v
+// solver solves K·u = b directly. The lateral part of K in each layer
+// is gx·Lx + gy·Ly, Lx and Ly being the 1-D Laplacians of a row and a
+// column with zero-flux ends; the orthonormal DCT-II diagonalises both,
+// with eigenvalues λ_k = 2 − 2cos(πk/n). One 2-D DCT of every layer
+// therefore splits K into nx·ny independent lateral modes, each a
+// tridiagonal system over the nl layers that one Thomas solve answers
+// exactly.
+type solver struct {
+	network
+	dx, dy *dct
+	// invPiv[l·n+m] is the reciprocal Thomas pivot of layer l in the
+	// tridiagonal system of mode m = kx·ny + ky.
+	invPiv []float64
+	// a, b are one layer each of scratch for the transforms.
+	a, b []float64
+}
+
+// newSolver factors the network of s. shift, if not nil, adds shift[l]
+// to the diagonal of every cell of layer l: the C/dt term of a
+// backward-Euler step.
+func newSolver(s *Stack, shift []float64) *solver {
+	sv := &solver{network: newNetwork(s)}
+	nx, ny, nl, n := sv.nx, sv.ny, sv.nl, sv.n
+	sv.dx = newDCT(nx)
+	sv.dy = sv.dx
+	if ny != nx {
+		sv.dy = newDCT(ny)
 	}
-	sys.diag, sys.invPiv = next(), next()
-	sys.r, sys.p, sys.zq = next(), next(), next()
-
+	sv.invPiv = make([]float64, nl*n)
+	sv.a, sv.b = make([]float64, n), make([]float64, n)
+	// Mode m of layer l has diagonal d = base_l + gx_l·λx + gy_l·λy and
+	// couples to its neighbour layers through −gz. Thomas pivots:
+	// piv_0 = d_0, piv_l = d_l − gz[l−1]²/piv_{l−1}.
 	for l := 0; l < nl; l++ {
-		gx, gy := sys.gx[l], sys.gy[l]
-		base := sys.gz[l]
+		base := sv.gz[l]
 		if l > 0 {
-			base += sys.gz[l-1]
-		}
-		if l == 0 {
-			base += sys.gSink
+			base += sv.gz[l-1]
+		} else {
+			base += sv.gSink
 		}
 		if shift != nil {
 			base += shift[l]
 		}
-		d := sys.diag[l*n : (l+1)*n]
-		for y := 0; y < ny; y++ {
-			for x := 0; x < nx; x++ {
-				g := base
-				if x > 0 {
-					g += gx
-				}
-				if x < nx-1 {
-					g += gx
-				}
-				if y > 0 {
-					g += gy
-				}
-				if y < ny-1 {
-					g += gy
-				}
-				d[y*nx+x] = g
+		cur := sv.invPiv[l*n : (l+1)*n]
+		for kx, lx := range sv.dx.lam {
+			for ky, ly := range sv.dy.lam {
+				cur[kx*ny+ky] = base + sv.gx[l]*lx + sv.gy[l]*ly
 			}
 		}
-	}
-	// Thomas factorisation of every column at once, layer by layer:
-	// piv_0 = d_0, piv_l = d_l − gz[l−1]²/piv_{l−1}.
-	for i := 0; i < n; i++ {
-		sys.invPiv[i] = 1 / sys.diag[i]
-	}
-	for l := 1; l < nl; l++ {
-		g2 := sys.gz[l-1] * sys.gz[l-1]
-		prev := sys.invPiv[(l-1)*n : l*n]
-		cur := sys.invPiv[l*n : (l+1)*n]
-		d := sys.diag[l*n : (l+1)*n]
-		for i := range cur {
-			cur[i] = 1 / (d[i] - g2*prev[i])
-		}
-	}
-	sys.cor = newCoarse(sys, shift)
-	return sys
-}
-
-// apply sets out = K·v and returns v·out.
-func (sys *system) apply(v, out []float64) float64 {
-	nx, ny, n := sys.nx, sys.ny, sys.n
-	var dot float64
-	for l := 0; l < sys.nl; l++ {
-		vl := v[l*n : (l+1)*n]
-		ol := out[l*n : (l+1)*n]
-		d := sys.diag[l*n : (l+1)*n]
-		// A missing neighbour layer reads this layer with a zero
-		// conductance, which keeps the inner loop free of branches.
-		up, gUp := vl, 0.0
 		if l > 0 {
-			up, gUp = v[(l-1)*n:l*n], sys.gz[l-1]
+			g2, prev := sv.gz[l-1]*sv.gz[l-1], sv.invPiv[(l-1)*n:l*n]
+			for m := range cur {
+				cur[m] -= g2 * prev[m]
+			}
 		}
-		down, gDown := vl, sys.gz[l]
-		if l < sys.nl-1 {
-			down = v[(l+1)*n : (l+2)*n]
-		}
-		gx, gy := sys.gx[l], sys.gy[l]
-		for y := 0; y < ny; y++ {
-			lo, hi := y*nx, (y+1)*nx
-			c, o, dd := vl[lo:hi], ol[lo:hi], d[lo:hi]
-			u, dn := up[lo:hi], down[lo:hi]
-			for x := range o {
-				o[x] = dd[x]*c[x] - gUp*u[x] - gDown*dn[x]
-			}
-			for x := 1; x < len(o); x++ {
-				o[x] -= gx * c[x-1]
-				o[x-1] -= gx * c[x]
-			}
-			if y > 0 {
-				north := vl[lo-nx : lo]
-				for x := range o {
-					o[x] -= gy * north[x]
-				}
-			}
-			if y < ny-1 {
-				south := vl[hi : hi+nx]
-				for x := range o {
-					o[x] -= gy * south[x]
-				}
-			}
-			for x, w := range o {
-				dot += w * c[x]
-			}
+		for m := range cur {
+			cur[m] = 1 / cur[m]
 		}
 	}
-	return dot
+	return sv
 }
 
-// precondition sets z = M⁻¹·r and returns r·z. M⁻¹ is additive over
-// two levels. The first keeps only the vertical couplings of K: each
-// column of cells is a tridiagonal system, solved exactly by forward and
-// back substitution with the pivots from newSystem. The second is the
-// coarse correction (see coarse).
-func (sys *system) precondition(r, z []float64) float64 {
-	n := sys.n
-	for i := 0; i < n; i++ {
-		z[i] = r[i] * sys.invPiv[i]
-	}
-	for l := 1; l < sys.nl; l++ {
-		g := sys.gz[l-1]
-		prev := z[(l-1)*n : l*n]
-		cur := z[l*n : (l+1)*n]
-		rl := r[l*n : (l+1)*n]
-		ip := sys.invPiv[l*n : (l+1)*n]
-		for i := range cur {
-			cur[i] = (rl[i] + g*prev[i]) * ip[i]
+// powerModes returns the modes of s's power maps, every layer end to
+// end; a passive layer's modes are zero.
+func (sv *solver) powerModes(s *Stack) []float64 {
+	p := make([]float64, sv.nl*sv.n)
+	for l, layer := range s.Layers {
+		if layer.Power != nil {
+			sv.forward(p[l*sv.n:(l+1)*sv.n], layer.Power)
 		}
 	}
-	for l := sys.nl - 2; l >= 0; l-- {
-		g := sys.gz[l]
-		cur := z[l*n : (l+1)*n]
-		next := z[(l+1)*n : (l+2)*n]
-		ip := sys.invPiv[l*n : (l+1)*n]
+	return p
+}
+
+// forward sets dst to the 2-D DCT of one layer, src, indexed by mode
+// kx·ny + ky: the DCT of each column, a transpose, then the DCT of each
+// row.
+func (sv *solver) forward(dst, src []float64) {
+	sv.dy.forward(sv.a, src, sv.b, sv.nx)
+	transpose(sv.b, sv.a, sv.ny, sv.nx)
+	sv.dx.forward(dst, sv.b, sv.a, sv.ny)
+}
+
+// inverse sets dst to offset plus the inverse 2-D DCT of one layer of
+// modes, src.
+func (sv *solver) inverse(dst, src []float64, offset float64) {
+	sv.dx.inverse(sv.a, src, sv.b, sv.ny)
+	transpose(sv.b, sv.a, sv.nx, sv.ny)
+	sv.dy.inverse(dst, sv.b, sv.a, sv.nx)
+	for i := range dst {
+		dst[i] += offset
+	}
+}
+
+// transpose sets dst (cols×rows) to the transpose of src (rows×cols).
+func transpose(dst, src []float64, rows, cols int) {
+	for r := 0; r < rows; r++ {
+		for c, v := range src[r*cols : (r+1)*cols] {
+			dst[c*rows+r] = v
+		}
+	}
+}
+
+// dct is the orthonormal DCT-II of n points, applied along the first
+// index of an n×w row-major block: a combination of whole lines of w
+// values, so every inner loop runs over one contiguous line.
+//
+// Mode k is even or odd about the middle of the n points:
+// q_k[n−1−j] = (−1)^k·q_k[j]. Folding the block's lines in pairs into
+// their sums and differences lets even modes read only the first half
+// of the sums and odd modes only the first half of the differences,
+// which halves the work of both directions.
+type dct struct {
+	n int
+	// q[k·n+j] is mode k at point j.
+	q []float64
+	// lam[k] is the eigenvalue 2 − 2cos(πk/n) of mode k of the 1-D
+	// zero-flux Laplacian.
+	lam []float64
+}
+
+// newDCT tabulates the basis of n points: q_k[j] = c_k·cos(πk(2j+1)/2n),
+// c_0 = √(1/n), c_k = √(2/n). The cosine takes only the 4n values
+// cos(πm/2n).
+func newDCT(n int) *dct {
+	cos := make([]float64, 4*n)
+	for m := range cos {
+		cos[m] = math.Cos(math.Pi * float64(m) / float64(2*n))
+	}
+	d := &dct{n: n, q: make([]float64, n*n), lam: make([]float64, n)}
+	for k := range d.lam {
+		d.lam[k] = 2 - 2*cos[2*k]
+	}
+	c0, c := math.Sqrt(1/float64(n)), math.Sqrt(2/float64(n))
+	for j := 0; j < n; j++ {
+		d.q[j] = c0
+	}
+	for k := 1; k < n; k++ {
+		for j := 0; j < n; j++ {
+			d.q[k*n+j] = c * cos[k*(2*j+1)%(4*n)]
+		}
+	}
+	return d
+}
+
+// halves splits scratch into the h = ⌈n/2⌉ folded sum lines and the
+// ⌊n/2⌋ difference lines of width w. Mode k reads the sums if it is
+// even, the differences if odd; the middle point of an odd n is a sum
+// line only, since every odd mode is zero there.
+func (d *dct) halves(scratch []float64, w int) (sums, diffs []float64) {
+	h := (d.n + 1) / 2
+	return scratch[:h*w], scratch[h*w : d.n*w]
+}
+
+// forward sets dst = Q·src, using scratch (n·w values).
+func (d *dct) forward(dst, src, scratch []float64, w int) {
+	n := d.n
+	sums, diffs := d.halves(scratch, w)
+	for j := 0; j < n/2; j++ {
+		a, b := src[j*w:(j+1)*w], src[(n-1-j)*w:(n-j)*w]
+		s, t := sums[j*w:(j+1)*w], diffs[j*w:(j+1)*w]
+		for i, v := range a {
+			s[i], t[i] = v+b[i], v-b[i]
+		}
+	}
+	if n%2 == 1 {
+		copy(sums[n/2*w:], src[n/2*w:(n/2+1)*w])
+	}
+	for k := 0; k < n; k++ {
+		out := dst[k*w : (k+1)*w]
+		clear(out)
+		half := sums
+		if k%2 == 1 {
+			half = diffs
+		}
+		for j := 0; j*w < len(half); j++ {
+			c, line := d.q[k*n+j], half[j*w:(j+1)*w]
+			for i, v := range line {
+				out[i] += c * v
+			}
+		}
+	}
+}
+
+// inverse sets dst = Qᵀ·src, using scratch (n·w values).
+func (d *dct) inverse(dst, src, scratch []float64, w int) {
+	n := d.n
+	sums, diffs := d.halves(scratch, w)
+	clear(scratch[:n*w])
+	for k := 0; k < n; k++ {
+		line := src[k*w : (k+1)*w]
+		half := sums
+		if k%2 == 1 {
+			half = diffs
+		}
+		for j := 0; j*w < len(half); j++ {
+			c, acc := d.q[k*n+j], half[j*w:(j+1)*w]
+			for i, v := range line {
+				acc[i] += c * v
+			}
+		}
+	}
+	for j := 0; j < n/2; j++ {
+		s, t := sums[j*w:(j+1)*w], diffs[j*w:(j+1)*w]
+		a, b := dst[j*w:(j+1)*w], dst[(n-1-j)*w:(n-j)*w]
+		for i, v := range s {
+			a[i], b[i] = v+t[i], v-t[i]
+		}
+	}
+	if n%2 == 1 {
+		copy(dst[n/2*w:(n/2+1)*w], sums[n/2*w:])
+	}
+}
+
+// solveModes overwrites b, all layers of modes, with the solution of
+// every mode's tridiagonal system: forward and back substitution with
+// the pivots from newSolver, all modes of a layer at a time.
+func (sv *solver) solveModes(b []float64) {
+	n := sv.n
+	for i := 0; i < n; i++ {
+		b[i] *= sv.invPiv[i]
+	}
+	for l := 1; l < sv.nl; l++ {
+		g := sv.gz[l-1]
+		prev := b[(l-1)*n : l*n]
+		cur := b[l*n : (l+1)*n]
+		ip := sv.invPiv[l*n : (l+1)*n]
+		for i := range cur {
+			cur[i] = (cur[i] + g*prev[i]) * ip[i]
+		}
+	}
+	for l := sv.nl - 2; l >= 0; l-- {
+		g := sv.gz[l]
+		cur := b[l*n : (l+1)*n]
+		next := b[(l+1)*n : (l+2)*n]
+		ip := sv.invPiv[l*n : (l+1)*n]
 		for i := range cur {
 			cur[i] += g * ip[i] * next[i]
 		}
 	}
-	sys.cor.correct(sys, r, z)
-	var dot float64
-	for i, v := range r {
-		dot += v * z[i]
-	}
-	return dot
 }
 
-// solve runs preconditioned conjugate gradients on K·u = b, where the
-// caller has stored b in sys.r, from the initial guess in u, which it
-// overwrites with the solution. It stops once the largest per-cell
-// update of an iteration is below cgTolK and returns the number of
-// iterations taken.
-func (sys *system) solve(u []float64) (int, error) {
-	r, p, z, q := sys.r, sys.p, sys.zq, sys.zq
-	sys.apply(u, q)
-	var rMax float64
-	for i := range r {
-		r[i] -= q[i]
-		if a := math.Abs(r[i]); a > rMax {
-			rMax = a
-		}
-	}
-	if rMax == 0 {
-		return 0, nil
-	}
-	rz := sys.precondition(r, z)
-	copy(p, z)
-	for iter := 1; iter <= cgMaxIters; iter++ {
-		alpha := rz / sys.apply(p, q)
-		var step float64
-		for i := range u {
-			u[i] += alpha * p[i]
-			r[i] -= alpha * q[i]
-			if a := math.Abs(p[i]); a > step {
-				step = a
-			}
-		}
-		if math.Abs(alpha)*step < cgTolK {
-			return iter, nil
-		}
-		rzNext := sys.precondition(r, z)
-		if rzNext == 0 { // u is exact
-			return iter, nil
-		}
-		beta := rzNext / rz
-		rz = rzNext
-		for i := range p {
-			p[i] = z[i] + beta*p[i]
-		}
-	}
-	return cgMaxIters, fmt.Errorf("thermal: conjugate gradients did not converge in %d iterations", cgMaxIters)
-}
-
-// temperatures converts a rise vector in place to absolute temperatures
-// and returns it sliced by layer, every layer sharing its storage.
-func (sys *system) temperatures(rise []float64, ambient float64) [][]float64 {
-	T := make([][]float64, sys.nl)
+// temperatures returns offset plus the inverse transform of every layer
+// of modes u, sliced by layer, every layer sharing one allocation.
+func (sv *solver) temperatures(u []float64, offset float64) [][]float64 {
+	n := sv.n
+	all := make([]float64, sv.nl*n)
+	T := make([][]float64, sv.nl)
 	for l := range T {
-		T[l] = rise[l*sys.n : (l+1)*sys.n : (l+1)*sys.n]
-		for i := range T[l] {
-			T[l][i] += ambient
-		}
+		T[l] = all[l*n : (l+1)*n : (l+1)*n]
+		sv.inverse(T[l], u[l*n:(l+1)*n], offset)
 	}
 	return T
 }

@@ -1,8 +1,10 @@
 // Package thermal is a steady-state compact thermal model standing in
 // for the HotSpot 3.0.2 simulations of the paper's Section 4: a
-// finite-difference RC network over a layered die stack, solved with
-// conjugate gradients preconditioned by exact solves of each vertical
-// column of cells plus a coarse block correction.
+// finite-difference RC network over a layered die stack, solved
+// directly. Every layer is laterally uniform with zero-flux edges, so a
+// 2-D discrete cosine transform of each layer splits the network into
+// independent lateral modes, and each mode is one tridiagonal system
+// over the layers, solved exactly (see solver).
 //
 // The modelled stack, from the heat sink downward, matches the paper's
 // assumptions: a copper heat spreader, a phase-change metallic-alloy
@@ -116,27 +118,23 @@ type Solution struct {
 	Stack *Stack
 	// T[l][y*Nx+x] is the temperature of cell (x, y) in layer l.
 	T [][]float64
-	// Iterations is the number of conjugate-gradient iterations the
-	// solve took.
+	// Iterations is always 0: Stack.Solve is direct and takes no
+	// iterations. It stays for callers that report solver effort.
 	Iterations int
 }
 
-// Solve computes the steady-state temperature field with
-// preconditioned conjugate gradients (see system.solve).
+// Solve computes the steady-state temperature field exactly, with no
+// iterations: it transforms the layers that carry power into lateral
+// modes, solves each mode's tridiagonal system over the layers and
+// transforms every layer back (see solver).
 func (s *Stack) Solve() (*Solution, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	sys := newSystem(s, nil)
-	for l, layer := range s.Layers {
-		copy(sys.r[l*sys.n:], layer.Power)
-	}
-	rise := make([]float64, sys.nl*sys.n)
-	iters, err := sys.solve(rise)
-	if err != nil {
-		return nil, err
-	}
-	return &Solution{Stack: s, T: sys.temperatures(rise, s.Ambient), Iterations: iters}, nil
+	sv := newSolver(s, nil)
+	u := sv.powerModes(s)
+	sv.solveModes(u)
+	return &Solution{Stack: s, T: sv.temperatures(u, s.Ambient)}, nil
 }
 
 // Peak returns the maximum temperature anywhere in the stack and its

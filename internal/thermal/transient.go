@@ -44,6 +44,11 @@ type TransientResult struct {
 // temperature every sampleEvery steps. It answers questions the
 // steady-state solver cannot: how fast hotspots form when a workload
 // starts, which the paper's HotSpot methodology also captures.
+//
+// The capacitive term C/dt is uniform within a layer, so the lateral
+// modes of the steady-state solver stay independent: every step is
+// taken on the modes with factors built once per call, and only the
+// sampled steps transform back to cells.
 func (s *Stack) SolveTransient(duration, dt float64, sampleEvery int) (*TransientResult, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -60,43 +65,34 @@ func (s *Stack) SolveTransient(duration, dt float64, sampleEvery int) (*Transien
 		layer := &s.Layers[l]
 		shift[l] = heatCapacityFor(layer) * layer.Thickness * cellArea / dt
 	}
-	sys := newSystem(s, shift)
-	rise := make([]float64, sys.nl*sys.n) // uniform ambient start
+	sv := newSolver(s, shift)
+	n := sv.n
+	power := sv.powerModes(s)
+	u := make([]float64, sv.nl*n) // modes of the rise; uniform ambient start
 
 	steps := int(duration/dt + 0.5)
 	res := &TransientResult{}
 	record := func(t float64) {
-		peak := math.Inf(-1)
-		for _, v := range rise {
-			peak = math.Max(peak, v)
-		}
+		res.Final = &Solution{Stack: s, T: sv.temperatures(u, s.Ambient)}
+		peak, _, _, _ := res.Final.Peak()
 		res.TimesS = append(res.TimesS, t)
-		res.PeakK = append(res.PeakK, s.Ambient+peak)
+		res.PeakK = append(res.PeakK, peak)
 	}
 	record(0)
 
-	// Backward Euler: each step solves (K + C/dt)·u' = P + C/dt·u with
-	// the steady-state solver's conjugate gradients, warm-started from
-	// the previous step's field.
+	// Backward Euler: each step solves (K + C/dt)·u' = P + C/dt·u.
 	for step := 1; step <= steps; step++ {
-		for l, layer := range s.Layers {
-			bl := sys.r[l*sys.n : (l+1)*sys.n]
-			ul := rise[l*sys.n : (l+1)*sys.n]
-			for i := range bl {
-				bl[i] = shift[l] * ul[i]
-			}
-			for i, w := range layer.Power {
-				bl[i] += w
+		for l := range s.Layers {
+			ul, pl := u[l*n:(l+1)*n], power[l*n:(l+1)*n]
+			for i := range ul {
+				ul[i] = shift[l]*ul[i] + pl[i]
 			}
 		}
-		if _, err := sys.solve(rise); err != nil {
-			return nil, fmt.Errorf("transient step %d: %w", step, err)
-		}
+		sv.solveModes(u)
 		if step%sampleEvery == 0 || step == steps {
 			record(float64(step) * dt)
 		}
 	}
-	res.Final = &Solution{Stack: s, T: sys.temperatures(rise, s.Ambient)}
 	return res, nil
 }
 
