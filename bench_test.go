@@ -231,6 +231,17 @@ func BenchmarkGeneratorThroughput(b *testing.B) {
 	}
 }
 
+// BenchmarkNewGenerator measures building one generator per op,
+// cycling through the suite: the static-program synthesis every
+// simulation job pays before its first instruction.
+func BenchmarkNewGenerator(b *testing.B) {
+	suite := trace.Suite()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		trace.NewGenerator(suite[i%len(suite)])
+	}
+}
+
 // BenchmarkSimulatorThroughput measures cycle-level simulation speed
 // (100k instructions per op, from a cold core) and reports it per
 // committed instruction.

@@ -2,7 +2,7 @@ package trace
 
 import (
 	"fmt"
-	"math/rand"
+	"math"
 
 	"thermalherd/internal/isa"
 )
@@ -66,7 +66,8 @@ type Profile struct {
 	DepDistMean float64
 
 	// StaticInsts is the static code size in instructions (power of
-	// two not required); controls I-cache and predictor pressure.
+	// two not required, at most 1<<31-1); controls I-cache and
+	// predictor pressure.
 	StaticInsts int
 }
 
@@ -136,6 +137,9 @@ func (p *Profile) Validate() error {
 	if p.StaticInsts < 16 {
 		return fmt.Errorf("trace: %s: static program too small (%d)", p.Name, p.StaticInsts)
 	}
+	if p.StaticInsts > math.MaxInt32 {
+		return fmt.Errorf("trace: %s: static program too large (%d)", p.Name, p.StaticInsts)
+	}
 	if p.DepDistMean < 1 {
 		return fmt.Errorf("trace: %s: DepDistMean %g < 1", p.Name, p.DepDistMean)
 	}
@@ -169,6 +173,8 @@ const (
 )
 
 // staticInst is one instruction of the synthesized static program.
+// Every simulation allocates and zeroes StaticInsts of them, so the
+// fields are sized and ordered to pack into 40 bytes.
 type staticInst struct {
 	kind    staticKind
 	lowBias bool // integer producer biased toward low-width results
@@ -177,37 +183,42 @@ type staticInst struct {
 	stack   bool
 	ptrLoad bool
 	negLoad bool
-	stride  uint64 // 0 = random within working set, else strided
-	cursor  uint64 // per-static-instruction stride cursor
-	// Strided accessors stream through a bounded buffer (streamBase,
-	// streamLen) inside the working set, wrapping — a media kernel
-	// re-traversing its frame buffer — rather than crawling the whole
-	// working set, which would manufacture compulsory misses forever.
-	streamBase uint64
-	streamLen  uint64
+	stride  uint8 // 0 = random within working set, else strided
 
 	// Branch behaviour.
-	takenProb float64
-	targetIdx int  // static index of the taken target
-	far       bool // jump to a far (different upper-48) region
-	backward  bool
+	far      bool // jump to a far (different upper-48) region
+	backward bool
+
+	// Strided accessors stream through a bounded buffer (streamBase,
+	// Generator.streamLen) inside the working set, wrapping — a media
+	// kernel re-traversing its frame buffer — rather than crawling the
+	// whole working set, which would manufacture compulsory misses
+	// forever. cursor is the per-static-instruction position in it.
+	cursor     uint32
+	targetIdx  int32 // branch/jump: static index of the taken target
+	streamBase uint64
+
+	takenProb float64 // branch/jump
 	// tripsLeft is the loop-iteration state of a backward branch: a
 	// fresh entry draws a trip count (geometric in takenProb); the
 	// branch is then taken until the count drains, and falls through
 	// exactly once — real loop behaviour, which keeps the program walk
 	// drifting forward instead of sinking toward index 0.
-	tripsLeft int
+	tripsLeft int32
 }
 
 // Generator emits a deterministic synthetic dynamic instruction stream
 // for a Profile. It implements Source.
 type Generator struct {
 	prof Profile
-	rng  *rand.Rand
-	// pCont is the per-step continuation probability of the geometric
-	// dependency distance, whose mean is prof.DepDistMean.
-	pCont float64
-	code  []staticInst
+	rng  rngSource
+	// pCont is the threshold of the per-step continuation probability
+	// of the geometric dependency distance, whose mean is
+	// prof.DepDistMean; pHot that of prof.HotFrac.
+	pCont, pHot threshold
+	// streamLen is the length of every strided accessor's buffer.
+	streamLen uint64
+	code      []staticInst
 
 	idx int // current static instruction index
 	// Call/return state: jumps model calls; after a callee runs for a
@@ -247,13 +258,25 @@ func NewGenerator(prof Profile) *Generator {
 		panic(err)
 	}
 	g := &Generator{
-		prof:  prof,
-		rng:   rand.New(rand.NewSource(prof.Seed)),
-		pCont: 1 - 1/prof.DepDistMean,
+		prof:      prof,
+		rng:       newRNGSource(prof.Seed),
+		pCont:     thresholdFor(1 - 1/prof.DepDistMean),
+		pHot:      thresholdFor(prof.HotFrac),
+		streamLen: min(prof.WorkingSet, 128<<10),
 	}
 	g.synthesize()
 	return g
 }
+
+// Thresholds of the generator's constant probabilities: an integer
+// producer's result is low-width with probability pLowBiased (biased
+// producers) or pLowUnbiased (the rest), and a consumer prefers a
+// producer of its own width class with probability pWidthLocal.
+var (
+	pLowBiased   = thresholdFor(0.995)
+	pLowUnbiased = thresholdFor(0.02)
+	pWidthLocal  = thresholdFor(0.98)
+)
 
 // Profile returns the generator's workload profile.
 func (g *Generator) Profile() Profile { return g.prof }
@@ -272,17 +295,18 @@ func (g *Generator) synthesize() {
 	if ctrlEvery > float64(n) {
 		ctrlEvery = float64(n)
 	}
+	period := int(ctrlEvery + 0.5)
+	jumpShare := p.FracJump / (p.FracBranch + p.FracJump + 1e-12)
 	lastBack := -1 // slot of the most recent loop back edge
 	for i := range g.code {
 		si := &g.code[i]
-		isCtrlSlot := ctrlEvery <= 1 || (i > 0 && i%int(ctrlEvery+0.5) == int(ctrlEvery+0.5)-1)
+		isCtrlSlot := ctrlEvery <= 1 || (i > 0 && i%period == period-1)
 		if isCtrlSlot && i != n-1 {
-			jumpShare := p.FracJump / (p.FracBranch + p.FracJump + 1e-12)
 			if g.rng.Float64() < jumpShare {
 				si.kind = kindJump
 				si.takenProb = 1
 				si.far = g.rng.Float64() < p.FarTargetFrac
-				si.targetIdx = g.rng.Intn(n)
+				si.targetIdx = int32(g.rng.Intn(n))
 			} else {
 				si.kind = kindBranch
 				// Loop bodies are kept >= minBody instructions so the
@@ -306,18 +330,18 @@ func (g *Generator) synthesize() {
 					// count (mean takenProb/(1-takenProb)), then exits.
 					si.takenProb = 0.88 + 0.07*g.rng.Float64()
 					si.backward = true
-					si.targetIdx = loopLo + g.rng.Intn(loopHi-loopLo+1)
+					si.targetIdx = int32(loopLo + g.rng.Intn(loopHi-loopLo+1))
 					si.tripsLeft = -1
 					lastBack = i
 				case g.rng.Float64() < p.HardBranchFrac*2:
 					// Hard data-dependent branch: ~50/50, forward so it
 					// cannot trap the walk.
 					si.takenProb = 0.35 + 0.3*g.rng.Float64()
-					si.targetIdx = min(i+minBody+g.rng.Intn(maxBody-minBody+1), n-1)
+					si.targetIdx = int32(min(i+minBody+g.rng.Intn(maxBody-minBody+1), n-1))
 				default:
 					// Guard branch, rarely taken, forward.
 					si.takenProb = 0.02 + 0.05*g.rng.Float64()
-					si.targetIdx = min(i+minBody+g.rng.Intn(maxBody-minBody+1), n-1)
+					si.targetIdx = int32(min(i+minBody+g.rng.Intn(maxBody-minBody+1), n-1))
 				}
 			}
 			continue
@@ -363,9 +387,8 @@ func (g *Generator) assignMemBehaviour(si *staticInst) {
 	// Half of heap accessors are strided (streaming), half random.
 	if !si.stack && g.rng.Float64() < 0.5 {
 		si.stride = 8 << uint(g.rng.Intn(3)) // 8, 16, or 32 bytes
-		si.streamLen = min(p.WorkingSet, 128<<10)
-		if p.WorkingSet > si.streamLen {
-			si.streamBase = (g.rng.Uint64() % (p.WorkingSet - si.streamLen)) &^ 63
+		if p.WorkingSet > g.streamLen {
+			si.streamBase = (g.rng.Uint64() % (p.WorkingSet - g.streamLen)) &^ 63
 		}
 	}
 }
@@ -440,7 +463,7 @@ func (g *Generator) Next() (Inst, bool) {
 			// branch is taken until the count drains and falls through
 			// exactly once.
 			if si.tripsLeft < 0 {
-				trips := 0
+				trips := int32(0)
 				for g.rng.Float64() < si.takenProb {
 					trips++
 				}
@@ -457,9 +480,9 @@ func (g *Generator) Next() (Inst, bool) {
 			taken = g.rng.Float64() < si.takenProb
 		}
 		in.Taken = taken
-		in.Target = g.pcOf(si.targetIdx)
+		in.Target = g.pcOf(int(si.targetIdx))
 		if taken {
-			nextIdx = si.targetIdx
+			nextIdx = int(si.targetIdx)
 		}
 
 	case kindJump:
@@ -468,7 +491,7 @@ func (g *Generator) Next() (Inst, bool) {
 		in.Op, in.Class = isa.OpJal, isa.ClassJump
 		in.Dest = g.pickDest(false)
 		in.Taken = true
-		in.Target = g.pcOf(si.targetIdx)
+		in.Target = g.pcOf(int(si.targetIdx))
 		if si.far {
 			// A far callee (shared library, distant text): the target
 			// address lies in a different upper-48-bit region, forcing
@@ -481,7 +504,7 @@ func (g *Generator) Next() (Inst, bool) {
 			g.retStack = append(g.retStack, g.idx+1)
 		}
 		g.calleeLeft = 8 + g.rng.Intn(32)
-		nextIdx = si.targetIdx
+		nextIdx = int(si.targetIdx)
 	}
 
 	// Tick down the current callee's remaining length; the return
@@ -490,7 +513,10 @@ func (g *Generator) Next() (Inst, bool) {
 		g.calleeLeft--
 	}
 
-	g.idx = nextIdx % len(g.code)
+	if nextIdx == len(g.code) {
+		nextIdx = 0
+	}
+	g.idx = nextIdx
 	g.emitted++
 	if in.Dest != RegNone {
 		low := in.Dest < FPBase && in.Result>>16 == 0
@@ -545,11 +571,11 @@ func (g *Generator) pickSource(fp, preferLow bool) int16 {
 	// Geometric distance with mean DepDistMean.
 	dist := 0
 	window := int(min(g.noted, producerWindow))
-	for dist < window-1 && g.rng.Float64() < g.pCont {
+	for dist < window-1 && g.rng.flip(g.pCont) {
 		dist++
 	}
 	r := g.producerBack(dist)
-	if !fp && r.low != preferLow && g.rng.Float64() < 0.98 {
+	if !fp && r.low != preferLow && g.rng.flip(pWidthLocal) {
 		// Width-locality: take the newest integer producer in the
 		// window of the matching width class, if there is one.
 		if at := g.newestInt[b2i(preferLow)]; at > 0 && g.noted-at < producerWindow {
@@ -589,12 +615,11 @@ func b2i(b bool) int {
 // intResult draws a result value honouring the static instruction's
 // width bias.
 func (g *Generator) intResult(si *staticInst) uint64 {
-	low := false
+	t := pLowUnbiased
 	if si.lowBias {
-		low = g.rng.Float64() < 0.995
-	} else {
-		low = g.rng.Float64() < 0.02
+		t = pLowBiased
 	}
+	low := g.rng.flip(t)
 	if low {
 		return g.rng.Uint64() & 0xffff
 	}
@@ -625,14 +650,15 @@ func (g *Generator) memAddr(si *staticInst) uint64 {
 	}
 	ws := g.prof.WorkingSet
 	if si.stride != 0 {
-		si.cursor = (si.cursor + si.stride) % si.streamLen
-		return heapBase + si.streamBase + si.cursor&^7
+		cursor := (uint64(si.cursor) + uint64(si.stride)) % g.streamLen
+		si.cursor = uint32(cursor)
+		return heapBase + si.streamBase + cursor&^7
 	}
 	hot := ws
 	if hot > hotSetMax {
 		hot = hotSetMax
 	}
-	if g.rng.Float64() < g.prof.HotFrac {
+	if g.rng.flip(g.pHot) {
 		return heapBase + (g.rng.Uint64()%hot)&^7
 	}
 	return heapBase + (g.rng.Uint64()%ws)&^7

@@ -2,7 +2,9 @@ package trace
 
 import (
 	"math"
+	"strconv"
 	"testing"
+	"unsafe"
 
 	"thermalherd/internal/core"
 	"thermalherd/internal/isa"
@@ -253,6 +255,21 @@ func TestProfileValidation(t *testing.T) {
 	bad.StaticInsts = 4
 	if err := bad.Validate(); err == nil {
 		t.Error("tiny static program not rejected")
+	}
+	if strconv.IntSize == 64 {
+		bad = testProfile()
+		bad.StaticInsts = int(int64(math.MaxInt32) + 1) // beyond an int32 target index
+		if err := bad.Validate(); err == nil {
+			t.Error("static program too large for an int32 target not rejected")
+		}
+	}
+}
+
+// TestStaticInstPacked holds staticInst to the 40 bytes its comment
+// promises: every simulation allocates StaticInsts of them.
+func TestStaticInstPacked(t *testing.T) {
+	if got := unsafe.Sizeof(staticInst{}); got != 40 {
+		t.Errorf("staticInst is %d bytes, want 40", got)
 	}
 }
 

@@ -4,6 +4,13 @@
 // MiBench, pointer-intensive, graphics, and bioinformatics suites run
 // under SimpleScalar/MASE with SimPoint sampling).
 //
+// The generator draws from rngSource (rng.go), math/rand's seeded
+// source ported as a value type: seeded alike, it emits the values
+// rand.New(rand.NewSource(seed)) would, and the hot path's fixed-
+// probability coin flips compare that same draw against an integer
+// threshold instead of a float. TestStreamDigestsPinned holds every
+// workload's stream to the one the math/rand-backed generator emitted.
+//
 // Declared deterministic to thermlint: the same generator parameters
 // and seed must reproduce the same instruction stream bit for bit.
 //

@@ -3,6 +3,7 @@ package trace
 import (
 	"fmt"
 	"hash/fnv"
+	"slices"
 )
 
 // This file defines the 106 named workload profiles standing in for the
@@ -127,8 +128,14 @@ func dep(f float64) tweak    { return func(p *Profile) { p.DepDistMean = f } }
 func branch(f float64) tweak { return func(p *Profile) { p.FracBranch = f } }
 func loads(f float64) tweak  { return func(p *Profile) { p.FracLoad = f } }
 
-// Suite returns all 106 workload profiles.
-func Suite() []Profile {
+// suite holds the 106 workload profiles, built once: admission and
+// every simulation look a workload up by name.
+var suite = buildSuite()
+
+// Suite returns all 106 workload profiles, in a slice the caller owns.
+func Suite() []Profile { return slices.Clone(suite) }
+
+func buildSuite() []Profile {
 	var s []Profile
 
 	// SPECint2000: 12 benchmarks.
@@ -285,7 +292,6 @@ const SuiteSize = 106
 
 // Names returns every suite workload name in suite order.
 func Names() []string {
-	suite := Suite()
 	names := make([]string, len(suite))
 	for i, p := range suite {
 		names[i] = p.Name
@@ -295,7 +301,7 @@ func Names() []string {
 
 // ProfileByName finds a workload profile by benchmark name.
 func ProfileByName(name string) (Profile, error) {
-	for _, p := range Suite() {
+	for _, p := range suite {
 		if p.Name == name {
 			return p, nil
 		}
@@ -306,7 +312,7 @@ func ProfileByName(name string) (Profile, error) {
 // GroupProfiles returns the profiles belonging to group g.
 func GroupProfiles(g Group) []Profile {
 	var out []Profile
-	for _, p := range Suite() {
+	for _, p := range suite {
 		if p.Group == g {
 			out = append(out, p)
 		}

@@ -62,6 +62,25 @@ func TestProfileByName(t *testing.T) {
 	}
 }
 
+func TestSuiteReturnsCopy(t *testing.T) {
+	s := Suite()
+	want, err := ProfileByName(s[0].Name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s[0].WorkingSet, s[0].Seed = 1, 7
+	s[1].Name = "clobbered"
+	if got, _ := ProfileByName(want.Name); got != want {
+		t.Errorf("ProfileByName after mutating Suite()'s slice = %+v, want %+v", got, want)
+	}
+	if Names()[1] == "clobbered" || Suite()[1].Name == "clobbered" {
+		t.Error("mutating Suite()'s slice renamed a shared workload")
+	}
+	if GroupProfiles(want.Group)[0] != want {
+		t.Error("mutating Suite()'s slice changed GroupProfiles")
+	}
+}
+
 func TestPaperCalloutCharacteristics(t *testing.T) {
 	mcf, _ := ProfileByName("mcf")
 	crafty, _ := ProfileByName("crafty")
