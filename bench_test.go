@@ -379,6 +379,36 @@ func BenchmarkCoreNew(b *testing.B) {
 	}
 }
 
+// BenchmarkThermalJob measures one small thermal job per op, shaped
+// like the benchmark's solve-heavy jobs: a simulation at FF 4500,
+// warm-up 1000 and measure 2000 instructions in a fresh Runner, its
+// power breakdown, and a grid-32 thermal solve. Ops cycle through every
+// workload under every configuration. B/op is what one such job
+// allocates.
+func BenchmarkThermalJob(b *testing.B) {
+	opts := experiments.Options{
+		FastForwardInsts: 4500, WarmupInsts: 1000, MeasureInsts: 2000,
+		Parallelism: 1, Grid: thermal.DefaultGrid,
+	}
+	wls, cfgs := experiments.AllWorkloadNames(), config.Registry()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		cfg, wl := cfgs[i%len(cfgs)], wls[i/len(cfgs)%len(wls)]
+		r := experiments.NewRunner(opts)
+		s, err := r.Simulate(cfg, wl)
+		if err != nil {
+			b.Fatal(err)
+		}
+		p, err := experiments.PowerOf(cfg, wl, s)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, _, err := r.SolveThermal(cfg, p); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkLeakageFeedback iterates power and thermal models to the
 // temperature-dependent-leakage fixpoint.
 func BenchmarkLeakageFeedback(b *testing.B) {

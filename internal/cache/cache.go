@@ -29,8 +29,13 @@ type Config struct {
 type Cache struct {
 	cfg Config
 	// sets[i] stays nil until set i first misses: a short simulation
-	// touches a small fraction of a 4 MB L2's sets.
+	// touches a small fraction of a 4 MB L2's sets. Lines come from
+	// chunks of chunkSets sets' worth; live lists the sets holding
+	// lines, in the order they got them, so Reset takes time in
+	// proportion to what was touched, and keeps the chunks for reuse.
 	sets    [][]line
+	live    []int32
+	chunks  [][]line
 	setMask uint64
 	setLg   int // log2 of the set count: the tag starts this far above the index
 	lineLg  int
@@ -70,6 +75,37 @@ func New(cfg Config) *Cache {
 	}
 }
 
+// Reset empties the cache and zeroes its statistics, returning it to
+// the state New built. It keeps the storage of the sets the cache has
+// touched for reuse, so it allocates nothing.
+func (c *Cache) Reset() {
+	for _, s := range c.live {
+		c.sets[s] = nil
+	}
+	c.live = c.live[:0]
+	c.accesses, c.misses, c.writebacks, c.clock = 0, 0, 0, 0
+}
+
+// chunkSets is how many sets' lines one chunk holds. Lines come in
+// chunks rather than one growing slice so that filling a cold cache
+// never copies lines, and a reset cache keeps at most one partly used
+// chunk more than it needed.
+const chunkSets = 32
+
+// allocSet gives set s its Ways empty lines and returns them.
+func (c *Cache) allocSet(s uint64) []line {
+	k, w := len(c.live), c.cfg.Ways
+	if k/chunkSets == len(c.chunks) {
+		c.chunks = append(c.chunks, make([]line, chunkSets*w))
+	}
+	lo := k % chunkSets * w
+	lines := c.chunks[k/chunkSets][lo : lo+w : lo+w]
+	clear(lines)
+	c.live = append(c.live, int32(s))
+	c.sets[s] = lines
+	return lines
+}
+
 // Config returns the cache's configuration.
 func (c *Cache) Config() Config { return c.cfg }
 
@@ -97,8 +133,7 @@ func (c *Cache) Access(addr uint64, write bool) (hit, writeback bool) {
 	}
 	c.misses++
 	if lines == nil {
-		lines = make([]line, c.cfg.Ways)
-		c.sets[set] = lines
+		lines = c.allocSet(set)
 	}
 	// Allocate: choose invalid first, else LRU.
 	victim := 0
@@ -182,6 +217,9 @@ func (t *TLB) MissRate() float64 { return t.cache.MissRate() }
 // ResetStats zeroes statistics, preserving TLB contents.
 func (t *TLB) ResetStats() { t.cache.ResetStats() }
 
+// Reset empties the TLB and zeroes its statistics, as NewTLB left it.
+func (t *TLB) Reset() { t.cache.Reset() }
+
 // Stats returns (accesses, misses).
 func (t *TLB) Stats() (accesses, misses uint64) {
 	a, m, _ := t.cache.Stats()
@@ -227,6 +265,17 @@ type Hierarchy struct {
 // NewHierarchy wires an L1 in front of l2 with the given latencies.
 func NewHierarchy(l1, l2 *Cache, l1Lat, l2Lat, memCycles int) *Hierarchy {
 	return &Hierarchy{L1: l1, L2: l2, L1Latency: l1Lat, L2Latency: l2Lat, MemCycles: memCycles}
+}
+
+// Reset empties both caches, zeroes the statistics and sets the
+// latencies: the state NewHierarchy builds over two new caches. A
+// machine's latencies are not part of the storage, so a reused
+// hierarchy takes them from its new machine.
+func (h *Hierarchy) Reset(l1Lat, l2Lat, memCycles int) {
+	h.L1.Reset()
+	h.L2.Reset()
+	h.L1Latency, h.L2Latency, h.MemCycles = l1Lat, l2Lat, memCycles
+	h.served = [3]uint64{}
 }
 
 // Access performs a load or store at addr and returns the total latency

@@ -190,8 +190,8 @@ func TestLazySetsMatchEagerCache(t *testing.T) {
 	cfg := Config{Name: "l2", Size: 64 << 10, Ways: 4, LineSize: 64}
 	lazy := New(cfg)
 	eager := New(cfg)
-	for i := range eager.sets {
-		eager.sets[i] = make([]line, cfg.Ways)
+	for s := range eager.sets {
+		eager.allocSet(uint64(s))
 	}
 	rng := rand.New(rand.NewSource(5))
 	for i := 0; i < 200_000; i++ {
@@ -221,5 +221,86 @@ func TestNewAllocatesNoSets(t *testing.T) {
 	cfg := Config{Name: "l2", Size: 4 << 20, Ways: 16, LineSize: 64}
 	if n := testing.AllocsPerRun(10, func() { New(cfg) }); n > 2 {
 		t.Errorf("New made %v allocations, want at most 2", n)
+	}
+}
+
+// TestResetMatchesNew drives a cache, a TLB and a hierarchy with random
+// traffic, resets them, and checks that a scripted access sequence then
+// gives the same result at every step, and the same statistics, as on
+// components just built. The hierarchy is reset to other latencies, as
+// a reused core's is for another machine.
+func TestResetMatchesNew(t *testing.T) {
+	cfg := Config{Name: "l2", Size: 64 << 10, Ways: 4, LineSize: 64}
+	l1cfg := Config{Name: "l1", Size: 4 << 10, Ways: 2, LineSize: 64}
+	used := New(cfg)
+	usedTLB := NewTLB("dtlb", 64, 4)
+	usedH := NewHierarchy(New(l1cfg), New(cfg), 3, 12, 160)
+	rng := rand.New(rand.NewSource(9))
+	for i := 0; i < 50_000; i++ {
+		addr := uint64(rng.Intn(4 << 20))
+		used.Access(addr, rng.Intn(2) == 0)
+		usedTLB.Access(addr << 4)
+		usedH.Access(addr, rng.Intn(2) == 0)
+	}
+	used.Reset()
+	usedTLB.Reset()
+	usedH.Reset(2, 9, 200)
+	fresh, freshTLB := New(cfg), NewTLB("dtlb", 64, 4)
+	freshH := NewHierarchy(New(l1cfg), New(cfg), 2, 9, 200)
+
+	script := rand.New(rand.NewSource(10))
+	for i := 0; i < 50_000; i++ {
+		addr := uint64(script.Intn(2 << 20))
+		write := script.Intn(3) == 0
+		if used.Probe(addr) != fresh.Probe(addr) {
+			t.Fatalf("step %d: probe of %#x disagrees", i, addr)
+		}
+		uh, uw := used.Access(addr, write)
+		fh, fw := fresh.Access(addr, write)
+		if uh != fh || uw != fw {
+			t.Fatalf("step %d: cache access to %#x: reset (%v, %v), new (%v, %v)", i, addr, uh, uw, fh, fw)
+		}
+		if u, f := usedTLB.Access(addr<<4), freshTLB.Access(addr<<4); u != f {
+			t.Fatalf("step %d: TLB access to %#x: reset %v, new %v", i, addr<<4, u, f)
+		}
+		ul, ulv := usedH.Access(addr, write)
+		fl, flv := freshH.Access(addr, write)
+		if ul != fl || ulv != flv {
+			t.Fatalf("step %d: hierarchy access to %#x: reset (%d, %v), new (%d, %v)", i, addr, ul, ulv, fl, flv)
+		}
+	}
+	ua, um, uwb := used.Stats()
+	fa, fm, fwb := fresh.Stats()
+	if ua != fa || um != fm || uwb != fwb {
+		t.Errorf("cache stats: reset (%d, %d, %d), new (%d, %d, %d)", ua, um, uwb, fa, fm, fwb)
+	}
+	ua, um = usedTLB.Stats()
+	fa, fm = freshTLB.Stats()
+	if ua != fa || um != fm {
+		t.Errorf("TLB stats: reset (%d, %d), new (%d, %d)", ua, um, fa, fm)
+	}
+	for l := LevelL1; l <= LevelMem; l++ {
+		if u, f := usedH.Served(l), freshH.Served(l); u != f {
+			t.Errorf("hierarchy served at %v: reset %d, new %d", l, u, f)
+		}
+	}
+}
+
+// TestResetKeepsTouchedStorageOnly checks that a reset cache reuses its
+// line storage and grows it no further than the sets a job touches:
+// refilling the same sets allocates nothing.
+func TestResetKeepsTouchedStorageOnly(t *testing.T) {
+	c := New(Config{Name: "l2", Size: 4 << 20, Ways: 16, LineSize: 64})
+	fill := func() {
+		for a := uint64(0); a < 200*64; a += 64 {
+			c.Access(a, false)
+		}
+	}
+	fill()
+	if n := testing.AllocsPerRun(10, func() { c.Reset(); fill() }); n != 0 {
+		t.Errorf("reset and refill made %v allocations, want 0", n)
+	}
+	if got, want := len(c.chunks), (200+chunkSets-1)/chunkSets; got != want {
+		t.Errorf("%d chunks after 200 sets, want %d", got, want)
 	}
 }

@@ -13,6 +13,7 @@ package circuit
 
 import (
 	"fmt"
+	"slices"
 
 	"thermalherd/internal/floorplan"
 )
@@ -158,34 +159,37 @@ func (e BlockEnergy) PerAccess3D() float64 {
 // saves this quantum for every die it keeps idle.
 func (e BlockEnergy) PerDieWord3D() float64 { return e.PerAccess3D() / 4 }
 
-// Energies returns per-access energies for every floorplan block.
-// Values are loosely proportional to block size and port count; wire
-// fractions follow the wire-intensity ordering of the timing model.
-func Energies() []BlockEnergy {
-	return []BlockEnergy{
-		{floorplan.BlkICache, 240, 0.55, 0.45},
-		{floorplan.BlkITLB, 22, 0.45, 0.42},
-		{floorplan.BlkBTB, 60, 0.50, 0.40},
-		{floorplan.BlkBPred, 38, 0.50, 0.44},
-		{floorplan.BlkDecode, 90, 0.40, 0.50},
-		{floorplan.BlkIFQ, 26, 0.35, 0.50},
-		{floorplan.BlkRename, 70, 0.45, 0.45},
-		{floorplan.BlkROB, 110, 0.50, 0.36},
-		{floorplan.BlkRS, 170, 0.62, 0.36},
-		{floorplan.BlkIntExec, 150, 0.45, 0.35},
-		{floorplan.BlkBypass, 120, 0.85, 0.29},
-		{floorplan.BlkFPExec, 320, 0.45, 0.35},
-		{floorplan.BlkLSQ, 130, 0.58, 0.36},
-		{floorplan.BlkDCache, 260, 0.55, 0.45},
-		{floorplan.BlkDTLB, 30, 0.45, 0.42},
-		{floorplan.BlkMemCtl, 140, 0.50, 0.50},
-		{floorplan.BlkL2, 1400, 0.62, 0.47},
-	}
+// energies holds the per-access energy of every floorplan block, built
+// once. Values are loosely proportional to block size and port count;
+// wire fractions follow the wire-intensity ordering of the timing
+// model.
+var energies = []BlockEnergy{
+	{floorplan.BlkICache, 240, 0.55, 0.45},
+	{floorplan.BlkITLB, 22, 0.45, 0.42},
+	{floorplan.BlkBTB, 60, 0.50, 0.40},
+	{floorplan.BlkBPred, 38, 0.50, 0.44},
+	{floorplan.BlkDecode, 90, 0.40, 0.50},
+	{floorplan.BlkIFQ, 26, 0.35, 0.50},
+	{floorplan.BlkRename, 70, 0.45, 0.45},
+	{floorplan.BlkROB, 110, 0.50, 0.36},
+	{floorplan.BlkRS, 170, 0.62, 0.36},
+	{floorplan.BlkIntExec, 150, 0.45, 0.35},
+	{floorplan.BlkBypass, 120, 0.85, 0.29},
+	{floorplan.BlkFPExec, 320, 0.45, 0.35},
+	{floorplan.BlkLSQ, 130, 0.58, 0.36},
+	{floorplan.BlkDCache, 260, 0.55, 0.45},
+	{floorplan.BlkDTLB, 30, 0.45, 0.42},
+	{floorplan.BlkMemCtl, 140, 0.50, 0.50},
+	{floorplan.BlkL2, 1400, 0.62, 0.47},
 }
+
+// Energies returns per-access energies for every floorplan block, in a
+// slice the caller owns.
+func Energies() []BlockEnergy { return slices.Clone(energies) }
 
 // EnergyFor returns the energy entry for block b.
 func EnergyFor(b floorplan.BlockID) BlockEnergy {
-	for _, e := range Energies() {
+	for _, e := range energies {
 		if e.Block == b {
 			return e
 		}

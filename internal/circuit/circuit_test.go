@@ -166,3 +166,24 @@ func TestBypassIsMostWireIntensive(t *testing.T) {
 		}
 	}
 }
+
+// TestEnergiesReturnsCopy checks that the energy table is built once
+// and shared safely: mutating the slice Energies returns changes
+// neither the next call's result nor EnergyFor.
+func TestEnergiesReturnsCopy(t *testing.T) {
+	want := Energies()
+	wantL2 := EnergyFor(floorplan.BlkL2)
+	e := Energies()
+	for i := range e {
+		e[i].PJ, e[i].Block = -1, floorplan.BlkICache
+	}
+	got := Energies()
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("Energies()[%d] after mutating a returned slice = %+v, want %+v", i, got[i], want[i])
+		}
+	}
+	if EnergyFor(floorplan.BlkL2) != wantL2 {
+		t.Error("mutating Energies()'s slice changed EnergyFor")
+	}
+}

@@ -13,7 +13,11 @@
 //	3D    — everything combined: the full Thermal Herding 3D processor.
 package config
 
-import "thermalherd/internal/core"
+import (
+	"slices"
+
+	"thermalherd/internal/core"
+)
 
 // Clock frequencies from the paper's evaluation: the planar baseline at
 // 2.66 GHz and the 3D design at 3.93 GHz (+47.9% from the wire-delay
@@ -195,15 +199,16 @@ func AllConfigs() []Machine {
 	return []Machine{Baseline(), TH(), Pipe(), Fast(), ThreeD()}
 }
 
+// registry is every named configuration, built once.
+var registry = append(AllConfigs(), ThreeDNoTH())
+
 // Registry returns every named configuration: the five Figure 8
-// machines plus 3D-noTH.
-func Registry() []Machine {
-	return append(AllConfigs(), ThreeDNoTH())
-}
+// machines plus 3D-noTH, in a slice the caller owns.
+func Registry() []Machine { return slices.Clone(registry) }
 
 // ByName looks up a configuration by its report name.
 func ByName(name string) (Machine, error) {
-	for _, m := range Registry() {
+	for _, m := range registry {
 		if m.Name == name {
 			return m, nil
 		}

@@ -152,3 +152,21 @@ func TestConfigErrorMessage(t *testing.T) {
 		t.Errorf("unexpected error text %q", e.Error())
 	}
 }
+
+// TestRegistryReturnsCopy checks that the registry is built once and
+// shared safely: mutating the slice Registry returns changes neither
+// the next call's result nor ByName.
+func TestRegistryReturnsCopy(t *testing.T) {
+	want := Registry()
+	r := Registry()
+	r[0].Name, r[0].L2Size, r[len(r)-1].ClockGHz = "clobbered", 1, 0
+	got := Registry()
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("Registry()[%d] after mutating a returned slice = %+v, want %+v", i, got[i], want[i])
+		}
+	}
+	if m, err := ByName("Base"); err != nil || m != Baseline() {
+		t.Errorf("ByName(Base) after mutating Registry()'s slice = %+v, %v", m, err)
+	}
+}

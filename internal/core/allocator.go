@@ -55,11 +55,23 @@ func NewHerdingAllocator(totalEntries int, policy AllocPolicy) *HerdingAllocator
 	if totalEntries <= 0 || totalEntries%NumDies != 0 {
 		panic(fmt.Sprintf("core: RS entries (%d) must be a positive multiple of %d", totalEntries, NumDies))
 	}
-	a := &HerdingAllocator{policy: policy, perDie: totalEntries / NumDies}
+	a := &HerdingAllocator{perDie: totalEntries / NumDies}
 	for d := range a.slots {
 		a.slots[d] = make([]bool, a.perDie)
 	}
+	a.Reset(policy)
 	return a
+}
+
+// Reset frees every entry, zeroes the statistics and sets the policy:
+// the state NewHerdingAllocator builds. The policy is a property of the
+// machine, not of the storage, so a reused allocator takes its new
+// machine's.
+func (a *HerdingAllocator) Reset(policy AllocPolicy) {
+	*a = HerdingAllocator{policy: policy, perDie: a.perDie, slots: a.slots}
+	for _, s := range a.slots {
+		clear(s)
+	}
 }
 
 // Capacity returns the total number of RS entries.

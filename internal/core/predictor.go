@@ -36,9 +36,7 @@ func NewWidthPredictor(entries int) *WidthPredictor {
 		counters: make([]uint8, entries),
 		mask:     uint64(entries - 1),
 	}
-	for i := range p.counters {
-		p.counters[i] = widthCounterInit
-	}
+	p.Reset()
 	return p
 }
 

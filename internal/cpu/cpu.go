@@ -29,6 +29,9 @@ package cpu
 import (
 	"fmt"
 	"math"
+	"runtime"
+	"slices"
+	"sync"
 
 	"thermalherd/internal/cache"
 	"thermalherd/internal/config"
@@ -70,6 +73,10 @@ type inflightEntry struct {
 type Core struct {
 	cfg config.Machine
 	src trace.Source
+	// shape is what cfg sized the storage to; released is set between
+	// Release and the New that reuses the core.
+	shape    shape
+	released bool
 
 	bpred *predictor.Hybrid
 	btb   *predictor.BTB
@@ -198,16 +205,29 @@ func (s *Stats) IPC() float64 {
 // IPns returns instructions per nanosecond at the given clock.
 func (s *Stats) IPns(clockGHz float64) float64 { return s.IPC() * clockGHz }
 
-// New builds a core for cfg consuming instructions from src.
+// New builds a core for cfg consuming instructions from src. It reuses
+// the storage of a core handed back with Release when one of the same
+// shape is free, and allocates otherwise; either way the core starts in
+// the same state.
 func New(cfg config.Machine, src trace.Source) (*Core, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	c := freeCores.take(shapeOf(cfg))
+	if c == nil {
+		c = alloc(cfg)
+	}
+	c.reset(cfg, src)
+	return c, nil
+}
+
+// alloc allocates the storage of a core shaped for cfg. reset, not
+// alloc, gives it its state.
+func alloc(cfg config.Machine) *Core {
 	l1d := cache.New(cache.Config{Name: "l1d", Size: cfg.L1Size, Ways: cfg.L1Ways, LineSize: cfg.LineSize})
 	l2 := cache.New(cache.Config{Name: "l2", Size: cfg.L2Size, Ways: cfg.L2Ways, LineSize: cfg.LineSize})
-	c := &Core{
-		cfg:      cfg,
-		src:      src,
+	return &Core{
+		shape:    shapeOf(cfg),
 		bpred:    predictor.NewHybrid(),
 		btb:      predictor.NewBTB(cfg.BTBEntries, cfg.BTBWays),
 		ibtb:     predictor.NewIndirectBTB(cfg.IBTBEntries, cfg.IBTBWays),
@@ -225,17 +245,113 @@ func New(cfg config.Machine, src trace.Source) (*Core, error) {
 		ifq:      make([]fetchSlot, cfg.IFQSize),
 		sq:       make([]uint64, cfg.SQSize),
 	}
+}
+
+// reset puts the core, whatever it last ran, into the state in which a
+// simulation of cfg over src starts: every structure empty or untrained,
+// every counter zero. cfg must have the core's shape.
+func (c *Core) reset(cfg config.Machine, src trace.Source) {
+	*c = Core{
+		cfg: cfg, src: src, shape: c.shape,
+		bpred: c.bpred, btb: c.btb, ibtb: c.ibtb, ras: c.ras,
+		il1: c.il1, itlb: c.itlb, dtlb: c.dtlb, dmem: c.dmem,
+		wpred: c.wpred, rsAlloc: c.rsAlloc, pam: c.pam,
+		rob: c.rob, waiting: c.waiting[:0], inflight: c.inflight[:0],
+		ifq: c.ifq, sq: c.sq,
+	}
+	c.bpred.Reset()
+	c.btb.Reset()
+	c.ibtb.Reset()
+	c.ras.Reset()
+	c.il1.Reset()
+	c.itlb.Reset()
+	c.dtlb.Reset()
+	c.dmem.Reset(cfg.L1Latency, cfg.L2Latency, cfg.DRAMCycles())
+	c.wpred.Reset()
+	c.rsAlloc.Reset(cfg.AllocPolicy)
+	c.pam.Reset()
+	clear(c.rob)
+	clear(c.ifq)
+	clear(c.sq)
 	for i := range c.regIsLow {
 		c.regIsLow[i] = true
 	}
-	return c, nil
+}
+
+// Release hands the core's storage back for a later New to reuse. The
+// core must not be used afterwards, and neither may a *Stats its Run
+// returned: copy the statistics first. Release drops the core's
+// reference to its source, which the caller may then release too.
+func (c *Core) Release() {
+	if c.released {
+		panic("cpu: Release of a released core")
+	}
+	c.src = nil
+	c.released = true
+	freeCores.put(c)
+}
+
+// shape holds the Machine fields that size a core's storage. A core can
+// run any machine of its own shape once reset.
+type shape struct {
+	l1Size, l1Ways, l2Size, l2Ways, lineSize int
+	itlbEntries, dtlbEntries, tlbWays        int
+	btbEntries, btbWays                      int
+	ibtbEntries, ibtbWays, rasDepth          int
+	widthPredEntries                         int
+	robSize, rsSize, ifqSize, sqSize         int
+}
+
+func shapeOf(m config.Machine) shape {
+	return shape{
+		m.L1Size, m.L1Ways, m.L2Size, m.L2Ways, m.LineSize,
+		m.ITLBEntries, m.DTLBEntries, m.TLBWays,
+		m.BTBEntries, m.BTBWays,
+		m.IBTBEntries, m.IBTBWays, m.RASDepth,
+		m.WidthPredEntries,
+		m.ROBSize, m.RSSize, m.IFQSize, m.SQSize,
+	}
+}
+
+// freeCores holds released cores until New reuses them: at most
+// GOMAXPROCS, one for each simulation that can run at a time.
+var freeCores freeList
+
+type freeList struct {
+	mu    sync.Mutex
+	cores []*Core // oldest first
+}
+
+// take removes and returns the most recently released core of shape s,
+// or nil if none is free.
+func (l *freeList) take(s shape) *Core {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for i := len(l.cores) - 1; i >= 0; i-- {
+		if c := l.cores[i]; c.shape == s {
+			l.cores = slices.Delete(l.cores, i, i+1)
+			return c
+		}
+	}
+	return nil
+}
+
+// put adds c, dropping the oldest core when the list is full.
+func (l *freeList) put(c *Core) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if n := len(l.cores) + 1 - runtime.GOMAXPROCS(0); n > 0 {
+		l.cores = slices.Delete(l.cores, 0, min(n, len(l.cores)))
+	}
+	l.cores = append(l.cores, c)
 }
 
 // Run simulates until maxInsts further instructions commit or the
 // source is exhausted, and returns the statistics. Call Warmup first to
 // exclude cold-start effects from the measurement. The result aliases
-// the core: later calls update it, and holding it keeps the whole core
-// alive, so copy it (st := *c.Run(n)) to keep it past the core.
+// the core: later calls update it, holding it keeps the whole core
+// alive, and Release ends it (a later New may reuse the core and
+// overwrite it), so copy it (st := *c.Run(n)) to keep it past the core.
 func (c *Core) Run(maxInsts uint64) *Stats {
 	occROB, occRS := c.runLoop(c.stats.Insts + maxInsts)
 	c.finalizeStats(occROB, occRS)

@@ -10,6 +10,7 @@ import (
 
 	"thermalherd/internal/config"
 	"thermalherd/internal/cpu"
+	"thermalherd/internal/trace"
 )
 
 // tinyOptions are depths small enough that a test can run many real
@@ -144,13 +145,32 @@ func TestRunnerKeysByMachineValue(t *testing.T) {
 
 // TestRunnerCacheDoesNotPinCores caches eight simulations in one runner
 // and checks that each entry keeps only its statistics live, not the
-// core that produced them.
+// core that produced them. Released cores and generators wait in
+// bounded free lists for reuse; that storage is fixed, not per entry,
+// so before the heap is measured one simulation fills the lists: of the
+// workload with the largest program and, among those, the largest
+// working set, so that the program storage and the cache storage both
+// reach their high-water marks for these workloads.
 func TestRunnerCacheDoesNotPinCores(t *testing.T) {
+	wls := []string{"gzip", "mcf", "crafty", "bitcount", "adpcmenc", "mpeg2enc", "gcc", "parser"}
+	var largest trace.Profile
+	for _, wl := range wls {
+		p, err := trace.ProfileByName(wl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.StaticInsts > largest.StaticInsts ||
+			p.StaticInsts == largest.StaticInsts && p.WorkingSet > largest.WorkingSet {
+			largest = p
+		}
+	}
+	if _, err := NewRunner(tinyOptions()).Simulate(config.ThreeD(), largest.Name); err != nil {
+		t.Fatal(err)
+	}
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	r := NewRunner(tinyOptions())
-	wls := []string{"gzip", "mcf", "crafty", "bitcount", "adpcmenc", "mpeg2enc", "gcc", "parser"}
 	for _, wl := range wls {
 		if _, err := r.Simulate(config.ThreeD(), wl); err != nil {
 			t.Fatal(err)

@@ -164,8 +164,9 @@ func (r *Runner) Simulate(cfg config.Machine, workload string) (*cpu.Stats, erro
 }
 
 // run simulates workload under cfg at the runner's depths. It returns
-// a copy of the statistics: Run's result aliases the core, so keeping
-// it would keep the whole core (caches, predictors, generator) alive.
+// a copy of the statistics, since Run's result aliases the core, and
+// hands the core and then its generator back for the next simulation
+// to reuse, on every path out.
 func (r *Runner) run(cfg config.Machine, workload string) (cpu.Stats, error) {
 	if err := r.ctx.Err(); err != nil {
 		return cpu.Stats{}, err
@@ -174,10 +175,13 @@ func (r *Runner) run(cfg config.Machine, workload string) (cpu.Stats, error) {
 	if err != nil {
 		return cpu.Stats{}, err
 	}
-	c, err := cpu.New(cfg, trace.NewGenerator(prof))
+	g := trace.NewGenerator(prof)
+	defer g.Release()
+	c, err := cpu.New(cfg, g)
 	if err != nil {
 		return cpu.Stats{}, err
 	}
+	defer c.Release()
 	c.FastForward(r.opts.FastForwardInsts)
 	if err := r.ctx.Err(); err != nil {
 		return cpu.Stats{}, err

@@ -8,7 +8,10 @@
 // the heat sink.
 package floorplan
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // BlockID identifies one microarchitectural block.
 type BlockID uint8
@@ -126,10 +129,29 @@ const (
 	chipH2D    = 12.0
 )
 
+// The two floorplans are built once; Planar and Stacked hand out
+// copies.
+var planar, stacked = buildPlanar(), buildStacked()
+
 // Planar returns the Figure 7(a) baseline floorplan: two 6×6 mm cores
 // side by side with the 4MB L2 occupying the lower half of a 12×12 mm
-// die.
-func Planar() *Floorplan {
+// die. The caller owns the result.
+func Planar() *Floorplan { return planar.clone() }
+
+// Stacked returns the Figure 7(b) 3D floorplan: the same layout
+// word-partitioned across four die. Each block keeps its relative
+// position but halves in each linear dimension (the ~4x footprint
+// reduction), and every block instance appears on all four die. The
+// caller owns the result.
+func Stacked() *Floorplan { return stacked.clone() }
+
+func (fp *Floorplan) clone() *Floorplan {
+	c := *fp
+	c.Units = slices.Clone(fp.Units)
+	return &c
+}
+
+func buildPlanar() *Floorplan {
 	fp := &Floorplan{Name: "planar-2d", ChipW: chipW2D, ChipH: chipH2D, NumDies: 1}
 	for coreIdx := 0; coreIdx < 2; coreIdx++ {
 		ox := float64(coreIdx) * coreSize2D
@@ -148,11 +170,7 @@ func Planar() *Floorplan {
 	return fp
 }
 
-// Stacked returns the Figure 7(b) 3D floorplan: the same layout
-// word-partitioned across four die. Each block keeps its relative
-// position but halves in each linear dimension (the ~4x footprint
-// reduction), and every block instance appears on all four die.
-func Stacked() *Floorplan {
+func buildStacked() *Floorplan {
 	const scale = 0.5
 	fp := &Floorplan{
 		Name:    "stacked-3d",

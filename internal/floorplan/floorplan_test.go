@@ -196,3 +196,31 @@ func TestRenderStackedDies(t *testing.T) {
 		}
 	}
 }
+
+// TestFloorplansReturnCopies checks that the floorplans are built once
+// and shared safely: mutating a returned floorplan changes neither the
+// next call's result nor the other floorplan.
+func TestFloorplansReturnCopies(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		get  func() *Floorplan
+	}{{"Planar", Planar}, {"Stacked", Stacked}} {
+		want := c.get()
+		fp := c.get()
+		fp.Name, fp.ChipW, fp.NumDies = "clobbered", 1, 9
+		for i := range fp.Units {
+			fp.Units[i].W, fp.Units[i].Die = 0, 7
+		}
+		fp.Units = fp.Units[:1]
+		got := c.get()
+		if got.Name != want.Name || got.ChipW != want.ChipW || got.NumDies != want.NumDies ||
+			len(got.Units) != len(want.Units) {
+			t.Fatalf("%s after mutating a returned floorplan = %+v", c.name, got)
+		}
+		for i := range want.Units {
+			if got.Units[i] != want.Units[i] {
+				t.Fatalf("%s unit %d after mutating a returned floorplan = %+v, want %+v", c.name, i, got.Units[i], want.Units[i])
+			}
+		}
+	}
+}

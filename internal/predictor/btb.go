@@ -12,7 +12,8 @@ import (
 // match the branch PC's complete on the top die, others stall the
 // prediction pipeline one cycle to read the remaining die.
 type BTB struct {
-	sets    [][]btbEntry
+	// entries holds the sets one after another, ways entries each.
+	entries []btbEntry
 	ways    int
 	setMask uint64
 	setLg   int // log2 of the set count: the tag starts this far above the index
@@ -40,12 +41,23 @@ func NewBTB(entries, ways int) *BTB {
 	if nsets&(nsets-1) != 0 {
 		panic("predictor: BTB set count must be a power of two")
 	}
-	b := &BTB{sets: make([][]btbEntry, nsets), ways: ways, setMask: uint64(nsets - 1),
+	return &BTB{entries: make([]btbEntry, entries), ways: ways, setMask: uint64(nsets - 1),
 		setLg: bits.TrailingZeros(uint(nsets))}
-	for i := range b.sets {
-		b.sets[i] = make([]btbEntry, ways)
-	}
-	return b
+}
+
+// Reset invalidates every entry and zeroes the statistics and the LRU
+// clock: the state NewBTB builds.
+func (b *BTB) Reset() {
+	clear(b.entries)
+	b.lookups, b.hits, b.fullReads, b.clock = 0, 0, 0, 0
+	b.activity = core.DieActivity{}
+}
+
+// set returns the entries of the set pc maps to, and pc's tag.
+func (b *BTB) set(pc uint64) (set []btbEntry, tag uint64) {
+	s, tag := b.index(pc)
+	lo := int(s) * b.ways
+	return b.entries[lo : lo+b.ways], tag
 }
 
 func (b *BTB) index(pc uint64) (set uint64, tag uint64) {
@@ -71,9 +83,9 @@ type LookupResult struct {
 func (b *BTB) Lookup(pc uint64) LookupResult {
 	b.lookups++
 	b.clock++
-	set, tag := b.index(pc)
-	for w := range b.sets[set] {
-		e := &b.sets[set][w]
+	set, tag := b.set(pc)
+	for w := range set {
+		e := &set[w]
 		if e.valid && e.tag == tag {
 			b.hits++
 			e.lru = b.clock
@@ -93,11 +105,11 @@ func (b *BTB) Lookup(pc uint64) LookupResult {
 
 // Update installs or refreshes the target for the branch at pc.
 func (b *BTB) Update(pc, target uint64) {
-	set, tag := b.index(pc)
+	set, tag := b.set(pc)
 	victim := 0
 	var oldest uint64 = ^uint64(0)
-	for w := range b.sets[set] {
-		e := &b.sets[set][w]
+	for w := range set {
+		e := &set[w]
 		if e.valid && e.tag == tag {
 			e.target = target
 			e.lru = b.clock
@@ -111,7 +123,7 @@ func (b *BTB) Update(pc, target uint64) {
 			oldest = e.lru
 		}
 	}
-	b.sets[set][victim] = btbEntry{valid: true, tag: tag, target: target, lru: b.clock}
+	set[victim] = btbEntry{valid: true, tag: tag, target: target, lru: b.clock}
 }
 
 // ResetStats zeroes probe statistics, preserving BTB contents.
@@ -155,6 +167,12 @@ func NewRAS(depth int) *RAS {
 		panic("predictor: RAS depth must be positive")
 	}
 	return &RAS{stack: make([]uint64, depth), depth: depth}
+}
+
+// Reset empties the stack, as NewRAS built it.
+func (r *RAS) Reset() {
+	clear(r.stack)
+	r.top = 0
 }
 
 // Push records a call's return address; overflow wraps, overwriting the

@@ -26,10 +26,15 @@ func newTwoBitTable(entries int) twoBitTable {
 		panic("predictor: table entries must be a positive power of two")
 	}
 	t := twoBitTable{c: make([]uint8, entries), mask: uint64(entries - 1)}
-	for i := range t.c {
-		t.c[i] = 1 // weakly not-taken
-	}
+	t.reset()
 	return t
+}
+
+// reset sets every counter to weakly not-taken.
+func (t *twoBitTable) reset() {
+	for i := range t.c {
+		t.c[i] = 1
+	}
 }
 
 func (t *twoBitTable) taken(idx uint64) bool { return t.c[idx&t.mask] >= 2 }
@@ -86,6 +91,18 @@ func NewHybrid() *Hybrid {
 		meta:    newTwoBitTable(8192),
 		metaBL:  newTwoBitTable(8192),
 	}
+}
+
+// Reset untrains every table, clears the histories and zeroes the
+// statistics: the state NewHybrid builds.
+func (h *Hybrid) Reset() {
+	for _, t := range []*twoBitTable{&h.bimodal, &h.localPT, &h.global, &h.meta, &h.metaBL} {
+		t.reset()
+	}
+	clear(h.localH)
+	h.ghist = 0
+	h.preds, h.correct = 0, 0
+	h.dieReads, h.dieWrites = [4]uint64{}, [4]uint64{}
 }
 
 func (h *Hybrid) localIdx(pc uint64) uint64 {

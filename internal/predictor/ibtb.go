@@ -47,6 +47,13 @@ func (i *IndirectBTB) Accuracy() float64 {
 	return float64(i.correct) / float64(i.lookups)
 }
 
+// Reset forgets every target and the path history and zeroes the
+// statistics: the state NewIndirectBTB builds.
+func (i *IndirectBTB) Reset() {
+	i.btb.Reset()
+	i.hist, i.lookups, i.correct = 0, 0, 0
+}
+
 // ResetStats zeroes statistics, preserving learned targets.
 func (i *IndirectBTB) ResetStats() {
 	i.lookups, i.correct = 0, 0

@@ -19,7 +19,10 @@ func rasterize(fp *floorplan.Floorplan, die int, watts PowerFor, nx, ny int) []f
 	out := make([]float64, nx*ny)
 	cw := fp.ChipW / float64(nx)
 	ch := fp.ChipH / float64(ny)
-	for _, u := range fp.UnitsOn(die) {
+	for _, u := range fp.Units {
+		if u.Die != die {
+			continue
+		}
 		w := watts(u)
 		if w == 0 {
 			continue
@@ -136,8 +139,8 @@ func HottestUnit(sol *Solution, fp *floorplan.Floorplan) (floorplan.Unit, float6
 	// Cell centre in floorplan coordinates (mm).
 	cx := (float64(x) + 0.5) * fp.ChipW / float64(sol.Stack.Nx)
 	cy := (float64(y) + 0.5) * fp.ChipH / float64(sol.Stack.Ny)
-	for _, u := range fp.UnitsOn(die) {
-		if cx >= u.X && cx < u.X+u.W && cy >= u.Y && cy < u.Y+u.H {
+	for _, u := range fp.Units {
+		if u.Die == die && cx >= u.X && cx < u.X+u.W && cy >= u.Y && cy < u.Y+u.H {
 			return u, peak, true
 		}
 	}

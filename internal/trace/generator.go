@@ -3,6 +3,9 @@ package trace
 import (
 	"fmt"
 	"math"
+	"runtime"
+	"slices"
+	"sync"
 
 	"thermalherd/internal/isa"
 )
@@ -237,6 +240,9 @@ type Generator struct {
 	newestInt [2]uint64
 	regVal    [64]uint64
 	emitted   uint64
+	// released is set between Release and the NewGenerator that
+	// reuses the generator.
+	released bool
 }
 
 // producerWindow bounds how far back pickSource looks for a producer.
@@ -252,20 +258,95 @@ type producer struct {
 
 // NewGenerator builds the static program for prof and returns a stream
 // generator. It panics if the profile fails validation (profiles are
-// authored in suites.go; a bad one is a programming error).
+// authored in suites.go; a bad one is a programming error). It reuses
+// a generator handed back with Release when one is free whose program
+// storage is large enough.
 func NewGenerator(prof Profile) *Generator {
 	if err := prof.Validate(); err != nil {
 		panic(err)
 	}
-	g := &Generator{
+	g := freeGenerators.take(prof.StaticInsts)
+	if g == nil {
+		g = &Generator{code: make([]staticInst, prof.StaticInsts)}
+	}
+	g.init(prof)
+	return g
+}
+
+// init starts g on prof, keeping only its storage (the program's, which
+// must hold prof.StaticInsts instructions, and the return stack's).
+func (g *Generator) init(prof Profile) {
+	*g = Generator{
 		prof:      prof,
 		rng:       newRNGSource(prof.Seed),
 		pCont:     thresholdFor(1 - 1/prof.DepDistMean),
 		pHot:      thresholdFor(prof.HotFrac),
 		streamLen: min(prof.WorkingSet, 128<<10),
+		code:      g.code[:prof.StaticInsts],
+		retStack:  g.retStack[:0],
 	}
 	g.synthesize()
+}
+
+// Release hands the generator's storage back for a later NewGenerator
+// to reuse. Neither the generator nor anything reading from it (a
+// core built on it) may be used afterwards.
+func (g *Generator) Release() {
+	if g.released {
+		panic("trace: Release of a released generator")
+	}
+	g.released = true
+	freeGenerators.put(g)
+}
+
+// freeGenerators holds released generators until NewGenerator reuses
+// them: at most GOMAXPROCS, one for each simulation that can run at a
+// time. Each generator's program storage is as large as the largest
+// program it has held.
+var freeGenerators genFreeList
+
+type genFreeList struct {
+	mu   sync.Mutex
+	gens []*Generator
+}
+
+// take removes and returns the free generator with the smallest program
+// storage that holds n static instructions, or nil if none does.
+func (l *genFreeList) take(n int) *Generator {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	best := -1
+	for i, g := range l.gens {
+		if c := cap(g.code); c >= n && (best < 0 || c < cap(l.gens[best].code)) {
+			best = i
+		}
+	}
+	if best < 0 {
+		return nil
+	}
+	g := l.gens[best]
+	l.gens = slices.Delete(l.gens, best, best+1)
 	return g
+}
+
+// put adds g. When the list is full, g replaces the generator with the
+// smallest program storage if its own is larger, and is dropped if not.
+func (l *genFreeList) put(g *Generator) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if len(l.gens) < runtime.GOMAXPROCS(0) {
+		l.gens = append(l.gens, g)
+		return
+	}
+	small := 0
+	for i, h := range l.gens {
+		if cap(h.code) < cap(l.gens[small].code) {
+			small = i
+		}
+	}
+	if cap(g.code) > cap(l.gens[small].code) {
+		l.gens[small] = g
+	}
 }
 
 // Thresholds of the generator's constant probabilities: an integer
@@ -287,7 +368,7 @@ func (g *Generator) Profile() Profile { return g.prof }
 func (g *Generator) synthesize() {
 	p := &g.prof
 	n := p.StaticInsts
-	g.code = make([]staticInst, n)
+	clear(g.code)
 
 	// First decide which slots are control-flow, spreading them evenly
 	// at the configured density.

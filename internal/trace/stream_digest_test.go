@@ -10,8 +10,10 @@ import (
 // streamDigest returns the SHA-256 of every field of the first n
 // instructions prof's generator emits, each encoded little-endian at
 // its declared width.
-func streamDigest(prof Profile, n int) string {
-	g := NewGenerator(prof)
+func streamDigest(prof Profile, n int) string { return digestOf(NewGenerator(prof), n) }
+
+// digestOf is streamDigest over the next n instructions of g.
+func digestOf(g *Generator, n int) string {
 	h := sha256.New()
 	var buf []byte
 	for i := 0; i < n; i++ {
@@ -65,6 +67,46 @@ func TestStreamDigestsPinned(t *testing.T) {
 	if len(streamDigests) != SuiteSize {
 		t.Errorf("%d pinned stream digests, want %d", len(streamDigests), SuiteSize)
 	}
+}
+
+// TestReleasedGeneratorStreamsMatchPins runs workloads on generators
+// that reuse the storage of a released one which had built a larger
+// program and run it part way, and checks their streams against the
+// pins.
+func TestReleasedGeneratorStreamsMatchPins(t *testing.T) {
+	const n = 20_000
+	suite := Suite()
+	big := suite[0]
+	for _, p := range suite {
+		if p.StaticInsts > big.StaticInsts {
+			big = p
+		}
+	}
+	for i := 0; i < len(suite); i += 13 {
+		p := suite[i]
+		prev := NewGenerator(big)
+		for j := 0; j < 50_000; j++ {
+			prev.Next()
+		}
+		prev.Release()
+		g := NewGenerator(p)
+		if g != prev {
+			t.Fatalf("%s: NewGenerator did not reuse the released generator", p.Name)
+		}
+		want := digestOf(newFreshGenerator(p), n)
+		if got := digestOf(g, n); got != want {
+			t.Errorf("%s: stream on reused storage %s, on new storage %s", p.Name, got, want)
+		}
+		g.Release()
+	}
+}
+
+// newFreshGenerator builds prof's generator on new storage, as
+// NewGenerator did before generators were recycled.
+func newFreshGenerator(prof Profile) *Generator {
+	g := &Generator{code: make([]staticInst, prof.StaticInsts)}
+	g.init(prof)
+	return g
 }
 
 var streamDigests = map[string]string{
