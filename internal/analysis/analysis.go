@@ -23,13 +23,12 @@
 //	//thermlint:goroutines           opts a package into goroutine-leak proving
 //	//thermlint:goroutine -- why     allows one unproven goroutine spawn
 //	//thermlint:timer -- why         allows one raw time.Timer/Ticker/Sleep/After
-//	//thermlint:identity O: l = a+b  declares a counter accounting identity (acctid)
-//	//thermlint:settleonce           marks a func as an exactly-once settlement guard
-//	//thermlint:handoff -- why       allows one return that defers settlement
+//	//thermlint:callers f g          pins a func's uses to inside f or g (acctid)
+//	//thermlint:identity merge: l=a+b  declares a metrics-merge identity (acctid)
 //	//thermlint:metricsmerge         marks a func as a linear metrics-doc merge
 //
 // Line directives (wallclock, unordered, blocking, locked, goroutine,
-// timer, handoff) attach to the line they trail or the line
+// timer) attach to the line they trail or the line
 // immediately below when they stand alone; the `-- why` justification
 // is required reading for reviewers, not parsed.
 //

@@ -8,11 +8,11 @@ import (
 )
 
 // Fact is a typed claim an analyzer exports about a package-level
-// function or method — "this function observes shutdown", "this call
-// settles a counter" — for importing packages to consume. Fact types
-// must be JSON-round-trippable structs: the store keeps every fact as
-// its JSON encoding, so an importer decodes its own copy and can never
-// mutate the exporter's.
+// function or method — "this function observes shutdown" — for
+// importing packages to consume. Fact types must be
+// JSON-round-trippable structs: the store keeps every fact as its JSON
+// encoding, so an importer decodes its own copy and can never mutate
+// the exporter's.
 type Fact interface{ AFact() }
 
 // factKey identifies one fact: the object it describes and the fact's

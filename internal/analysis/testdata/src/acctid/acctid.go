@@ -1,131 +1,79 @@
-// Package acctid exercises the accounting-identity prover in both
-// owner modes: a struct owner (sites are field increments) and an enum
-// owner (sites are constants passed to calls).
+// Package acctid exercises the callers rule: a ledger whose two sides
+// move only through pinned helpers, used from allowed and disallowed
+// places.
 package acctid
 
-//thermlint:identity counters: submitted = completed + failed
-type counters struct {
-	submitted counter
-	completed counter
-	failed    counter
-	other     counter
-}
-
-type counter struct{ n uint64 }
-
-func (c *counter) Inc() { c.n++ }
-
-func (cs *counters) inc(c *counter) { c.Inc() }
-
-// finish is the exactly-once settlement transition: it reports true
-// for exactly one caller per obligation.
-//
-//thermlint:settleonce
-func (cs *counters) finish() bool { return cs.n() == 0 }
-
-func (cs *counters) n() uint64 { return cs.other.n }
-
-func cond() bool { return true }
-
-// paired settles its obligation on every path.
-func paired(cs *counters, ok bool) {
-	cs.inc(&cs.submitted)
-	if ok {
-		cs.inc(&cs.completed)
-		return
-	}
-	cs.inc(&cs.failed)
-}
-
-// otherFieldFree shows non-member fields are out of scope.
-func otherFieldFree(cs *counters) {
-	cs.inc(&cs.other)
-}
-
-func leakyReturn(cs *counters) {
-	cs.inc(&cs.submitted)
-	return // want "return leaves 1 unsettled \"submitted\" increment"
-}
-
-func divergent(cs *counters) {
-	cs.inc(&cs.submitted)
-	if cond() { // want "paths disagree on unsettled \"submitted\" increments"
-		cs.inc(&cs.completed)
-	}
-	cs.other.Inc()
-}
-
-func handoff(cs *counters) {
-	cs.inc(&cs.submitted)
-	//thermlint:handoff -- settled later by the worker's finish guard
-	return
-}
-
-func leakyLoop(cs *counters) {
-	for i := 0; i < 3; i++ { // want "loop iteration ends with 1 unsettled \"submitted\" increment"
-		cs.inc(&cs.submitted)
-	}
-}
-
-func pairedLoop(cs *counters, oks []bool) {
-	for _, ok := range oks {
-		cs.inc(&cs.submitted)
-		if ok {
-			cs.inc(&cs.completed)
-			continue
-		}
-		cs.inc(&cs.failed)
-	}
-}
-
-func unguardedSettle(cs *counters) {
-	cs.failed.Inc() // want "\"failed\" incremented with no open \"submitted\" obligation"
-}
-
-func guardedSettle(cs *counters) {
-	if cs.finish() {
-		cs.completed.Inc()
-	}
-}
-
-func negatedGuardSettle(cs *counters) {
-	if !cs.finish() {
-		return
-	}
-	cs.failed.Inc()
-}
-
-//thermlint:identity evKind: evSubmit = evDone + evFail
-type evKind int
+type outcome int
 
 const (
-	evSubmit evKind = iota
-	evDone
-	evFail
-	evOther
+	done outcome = iota
+	failed
 )
 
-func emit(k evKind) {}
-
-func constPaired() {
-	emit(evSubmit)
-	emit(evDone)
+type ledger struct {
+	submitted uint64
+	outcomes  [2]uint64
 }
 
-func constLeaky() {
-	emit(evSubmit)
-	emit(evOther)
-	return // want "return leaves 1 unsettled \"evSubmit\" increment"
+// answered counts a submission and its outcome in one step.
+//
+//thermlint:callers admit
+func (l *ledger) answered(o outcome) {
+	l.submitted++
+	l.outcomes[o]++
 }
 
-func constSwitch(n int) {
-	emit(evSubmit)
-	switch n {
-	case 0:
-		emit(evDone)
-	case 1:
-		emit(evFail)
-	default:
-		emit(evFail)
+// accepted counts a submission whose outcome comes later.
+//
+//thermlint:callers admit -- the hand-off to the worker
+func (l *ledger) accepted() { l.submitted++ }
+
+// settled counts the outcome of an accepted submission.
+//
+//thermlint:callers settle
+func (l *ledger) settled(o outcome) { l.outcomes[o]++ }
+
+// admit and settle are the allowed callers, including from a closure.
+func admit(l *ledger, cached bool) {
+	if cached {
+		l.answered(done)
+		return
 	}
+	l.accepted()
 }
+
+func settle(l *ledger, ok bool) {
+	count := func(o outcome) { l.settled(o) }
+	if ok {
+		count(done)
+		return
+	}
+	count(failed)
+}
+
+// runJob settles on its own instead of going through settle.
+func runJob(l *ledger) {
+	l.settled(done) // want "settled used in runJob; //thermlint:callers allows it only in settle"
+}
+
+// leak hands the helper out as a method value, so anyone may call it.
+func leak(l *ledger) func(outcome) {
+	return l.answered // want "answered used in leak; //thermlint:callers allows it only in admit"
+}
+
+var pkgLevel = (*ledger).accepted // want "accepted used at package level"
+
+// Directives that name nothing, or a function that does not exist,
+// are findings: a stale list would pin nothing.
+//
+//thermlint:callers // want "callers directive on unnamed names no function"
+func unnamed() {}
+
+//thermlint:callers admitt // want "callers directive on typo names admitt, which is not a function of this package"
+func typo() {}
+
+// A counter identity over anything but metric keys is no longer
+// checked, so declaring one is a finding.
+//
+//thermlint:identity ledger: submitted = done + failed // want "identity owner \"ledger\" is not checked"
+type unchecked struct{}

@@ -69,18 +69,9 @@ func LeakageFeedback(r *Runner, cfg config.Machine, workload string) (*LeakageFe
 	for iter := 1; iter <= maxIters; iter++ {
 		res.Iterations = iter
 		// Rescale each unit's leakage by its local temperature.
-		var totalLeak float64
-		for k, w := range b.UnitW {
-			leak := b.UnitLeakW[k]
-			u, ok := fp.Find(k.Block, k.Core, k.Die)
-			scale := 1.0
-			if ok {
-				scale = power.LeakageScaleAt(thermal.PeakOfUnit(sol, fp, u))
-			}
-			cur[k] = w - leak + leak*scale
-			totalLeak += leak * scale
-		}
-		res.LeakageW = totalLeak
+		res.LeakageW = b.RescaleLeakage(fp, func(u floorplan.Unit) float64 {
+			return power.LeakageScaleAt(thermal.PeakOfUnit(sol, fp, u))
+		}, cur)
 		sol, err = solveWith(cur)
 		if err != nil {
 			return nil, err

@@ -170,13 +170,31 @@ func (b *Breakdown) distributeOverheads(fp *floorplan.Floorplan) {
 	}
 }
 
-// UnitTotal sums the per-unit map (equals TotalW up to rounding).
-func (b *Breakdown) UnitTotal() float64 {
+// UnitTotal sums the per-unit map over fp's units (equals TotalW up to
+// rounding). It visits units in fp.Units order, never map order, so the
+// sum is the same bits on every call.
+func (b *Breakdown) UnitTotal(fp *floorplan.Floorplan) float64 {
 	var t float64
-	for _, w := range b.UnitW {
-		t += w
+	for _, u := range fp.Units {
+		t += b.UnitW[UnitKey{u.Block, u.Core, u.Die}]
 	}
 	return t
+}
+
+// RescaleLeakage writes into dst each of fp's units' power with its
+// leakage share multiplied by scale(u), and returns the rescaled total
+// leakage. Units are visited in fp.Units order, so the total is the
+// same bits on every call.
+func (b *Breakdown) RescaleLeakage(fp *floorplan.Floorplan, scale func(floorplan.Unit) float64, dst map[UnitKey]float64) float64 {
+	var total float64
+	for _, u := range fp.Units {
+		k := UnitKey{u.Block, u.Core, u.Die}
+		leak := b.UnitLeakW[k]
+		scaled := leak * scale(u)
+		dst[k] = b.UnitW[k] - leak + scaled
+		total += scaled
+	}
+	return total
 }
 
 // Saving returns the fractional total-power saving of b relative to

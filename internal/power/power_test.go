@@ -104,12 +104,31 @@ func TestComputeVsMemorySavingsOrdering(t *testing.T) {
 
 func TestUnitMapConsistentWithTotal(t *testing.T) {
 	b := computeFor(t, config.Baseline(), "gzip")
-	if math.Abs(b.UnitTotal()-b.TotalW) > 1e-6*b.TotalW {
-		t.Errorf("unit map total %.4f W != breakdown total %.4f W", b.UnitTotal(), b.TotalW)
+	if got := b.UnitTotal(floorplan.Planar()); math.Abs(got-b.TotalW) > 1e-6*b.TotalW {
+		t.Errorf("unit map total %.4f W != breakdown total %.4f W", got, b.TotalW)
 	}
 	b3 := computeFor(t, config.ThreeD(), "gzip")
-	if math.Abs(b3.UnitTotal()-b3.TotalW) > 1e-6*b3.TotalW {
-		t.Errorf("3D unit map total %.4f W != %.4f W", b3.UnitTotal(), b3.TotalW)
+	if got := b3.UnitTotal(floorplan.Stacked()); math.Abs(got-b3.TotalW) > 1e-6*b3.TotalW {
+		t.Errorf("3D unit map total %.4f W != %.4f W", got, b3.TotalW)
+	}
+}
+
+// TestUnitSumsRepeatBitForBit repeats the per-unit sums over one 3D
+// breakdown: summed in map order they came out in many different bit
+// patterns; summed in floorplan order every repeat is identical.
+func TestUnitSumsRepeatBitForBit(t *testing.T) {
+	b := computeFor(t, config.ThreeD(), "gzip")
+	fp := floorplan.Stacked()
+	scale := func(u floorplan.Unit) float64 { return 1 + 0.01*float64(u.Block) + 0.1*float64(u.Die) }
+	dst := make(map[UnitKey]float64, len(b.UnitW))
+	total, leak := math.Float64bits(b.UnitTotal(fp)), math.Float64bits(b.RescaleLeakage(fp, scale, dst))
+	for i := 0; i < 400; i++ {
+		if got := math.Float64bits(b.UnitTotal(fp)); got != total {
+			t.Fatalf("repeat %d: UnitTotal bits %#x, first call %#x", i, got, total)
+		}
+		if got := math.Float64bits(b.RescaleLeakage(fp, scale, dst)); got != leak {
+			t.Fatalf("repeat %d: RescaleLeakage bits %#x, first call %#x", i, got, leak)
+		}
 	}
 }
 

@@ -82,8 +82,7 @@ func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 		// Each refused spec counts as one submission and one rejection
 		// under its own tenant, exactly as a single submit would.
 		for i := range req.Jobs {
-			s.metrics.tinc(tenant(i), tcSubmitted)
-			s.metrics.tinc(tenant(i), tcRejected)
+			s.metrics.answered(tenant(i), outRejected)
 		}
 		httpjson.Error(w, http.StatusServiceUnavailable, "server is draining; not accepting jobs")
 		return

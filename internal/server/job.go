@@ -388,8 +388,6 @@ func (j *job) setProgress(completed, total int) {
 // job is not in from, which keeps the worker, the watchdog, a
 // straggling abandoned executor, cancel, drain and migration from
 // settling one job twice. Clients see nothing of it until publish.
-//
-//thermlint:settleonce
 func (j *job) claim(from, to State, result json.RawMessage, detail string) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()

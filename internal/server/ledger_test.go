@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"thermalherd/internal/clock"
+	"thermalherd/internal/faultinject"
 	"thermalherd/internal/journal"
 )
 
@@ -192,6 +193,141 @@ func TestAccountingAllSettlePaths(t *testing.T) {
 		if q, b := counter(t, doc, "admission", "quota_rejects"), counter(t, doc, "admission", "brownout_rejects"); q != 1 || b != 1 {
 			t.Errorf("quota_rejects = %v, brownout_rejects = %v, want 1 each", q, b)
 		}
+	})
+
+	t.Run("quota-fault", func(t *testing.T) {
+		s, ts := chaosServer(t, Config{Workers: 1, QueueDepth: 8, CacheSize: 8},
+			"qos.quota=error:quota refused,count:1", 1)
+		stubExec(s, fastExec)
+		code, _ := submitAs(t, ts, "f1", "", specBody(1))
+		expectCode(t, "quota-fault submit", code, http.StatusTooManyRequests)
+		code, st := submitAs(t, ts, "f2", "", specBody(2))
+		expectCode(t, "next submit", code, http.StatusAccepted)
+		waitState(t, ts, st.ID, StateDone)
+		doc := metricsDoc(t, ts)
+		checkLedger(t, doc, map[string]float64{"submitted": 2, "rejected": 1, "completed": 1})
+		if q := counter(t, doc, "admission", "quota_rejects"); q != 1 {
+			t.Errorf("quota_rejects = %v, want 1", q)
+		}
+	})
+
+	t.Run("queue-full-and-journal-refused", func(t *testing.T) {
+		reg := faultinject.New()
+		s, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 1, CacheSize: 8,
+			JournalDir: t.TempDir(), FsyncPolicy: "off", Faults: reg})
+		release := make(chan struct{})
+		stubExec(s, blockingExec(release))
+		code, running := submitAs(t, ts, "j1", "", specBody(1))
+		expectCode(t, "running submit", code, http.StatusAccepted)
+		waitState(t, ts, running.ID, StateRunning)
+		code, queued := submitAs(t, ts, "j2", "", specBody(2))
+		expectCode(t, "queued submit", code, http.StatusAccepted)
+		code, _ = submitAs(t, ts, "j3", "", specBody(3))
+		expectCode(t, "queue-full submit", code, http.StatusServiceUnavailable)
+		if err := reg.Arm("journal.append=error:disk gone,count:1", 1); err != nil {
+			t.Fatal(err)
+		}
+		code, _ = submitAs(t, ts, "j4", "", specBody(4))
+		expectCode(t, "journal-refused submit", code, http.StatusServiceUnavailable)
+		close(release)
+		waitState(t, ts, running.ID, StateDone)
+		waitState(t, ts, queued.ID, StateDone)
+		checkLedger(t, metricsDoc(t, ts), map[string]float64{"submitted": 4, "rejected": 2, "completed": 2})
+	})
+
+	t.Run("drain-queued-and-draining-submits", func(t *testing.T) {
+		s, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 8, CacheSize: 8})
+		release := make(chan struct{})
+		stubExec(s, blockingExec(release))
+		_, running := submitAs(t, ts, "d1", "", specBody(1))
+		waitState(t, ts, running.ID, StateRunning)
+		_, queued := submitAs(t, ts, "d2", "", specBody(2))
+		drained := make(chan error, 1)
+		go func() {
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			drained <- s.Drain(ctx)
+		}()
+		waitState(t, ts, queued.ID, StateCanceled)
+		code, _ := submitAs(t, ts, "d3", "", specBody(3))
+		expectCode(t, "submit while draining", code, http.StatusServiceUnavailable)
+		resp, _ := submitBatch(t, ts.URL, `{"jobs":[`+specBody(4)+`,`+specBody(5)+`],"tenants":["d4","d5"]}`)
+		expectCode(t, "batch while draining", resp.StatusCode, http.StatusServiceUnavailable)
+		close(release)
+		if err := <-drained; err != nil {
+			t.Fatalf("Drain = %v, want a clean drain", err)
+		}
+		checkLedger(t, metricsDoc(t, ts), map[string]float64{"submitted": 5, "canceled": 1, "rejected": 3, "completed": 1})
+	})
+
+	t.Run("watchdog-reap", func(t *testing.T) {
+		s, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 8, CacheSize: 8,
+			StuckAfter: 80 * time.Millisecond, WatchdogInterval: 10 * time.Millisecond})
+		unstick := make(chan struct{})
+		stubExec(s, func(ctx context.Context, spec Spec, report progressFunc) (json.RawMessage, error) {
+			<-unstick // hard-stuck: ignores ctx entirely
+			return json.RawMessage(`{"ok":true}`), nil
+		})
+		_, st := submitAs(t, ts, "w1", "", specBody(1))
+		waitState(t, ts, st.ID, StateFailed)
+		want := map[string]float64{"submitted": 1, "failed": 1}
+		checkLedger(t, metricsDoc(t, ts), want)
+		// The abandoned executor returns a result; its settle finds the
+		// job already claimed and counts nothing.
+		close(unstick)
+		deadline := time.Now().Add(5 * time.Second)
+		for counter(t, metricsDoc(t, ts), "jobs", "running") != 0 {
+			if time.Now().After(deadline) {
+				t.Fatal("abandoned executor never returned")
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+		doc := metricsDoc(t, ts)
+		checkLedger(t, doc, want)
+		if got := counter(t, doc, "workers", "restarts"); got != 1 {
+			t.Errorf("workers.restarts = %v, want 1", got)
+		}
+	})
+
+	t.Run("refused-requeues", func(t *testing.T) {
+		s, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 8, CacheSize: 8, NodeName: "b"})
+		release := make(chan struct{})
+		stubExec(s, blockingExec(release))
+		_, running := submitAs(t, ts, "r1", "", specBody(1))
+		waitState(t, ts, running.ID, StateRunning)
+		_, queued := submitAs(t, ts, "r2", "", specBody(2))
+		// A closed scheduler refuses every requeue: the migration
+		// revert's and the adoption's.
+		s.sched.close()
+		dead := httptest.NewServer(http.NotFoundHandler())
+		dead.Close()
+		mresp, err := http.Post(ts.URL+"/v1/migrate", "application/json",
+			strings.NewReader(`{"target_name":"x","target_url":"`+dead.URL+`"}`))
+		if err != nil {
+			t.Fatalf("migrate: %v", err)
+		}
+		mresp.Body.Close()
+		expectCode(t, "migrate to a dead target", mresp.StatusCode, http.StatusBadGateway)
+		waitState(t, ts, queued.ID, StateCanceled)
+		frames, err := journal.EncodeFrames(ledgerEvents()[10:]) // job-000006: accepted, never finished
+		if err != nil {
+			t.Fatal(err)
+		}
+		presp, err := http.Post(ts.URL+"/v1/replica/a", "application/octet-stream", strings.NewReader(string(frames)))
+		if err != nil {
+			t.Fatalf("replica append: %v", err)
+		}
+		presp.Body.Close()
+		aresp, err := http.Post(ts.URL+"/v1/replica/a/adopt", "application/json", nil)
+		if err != nil {
+			t.Fatalf("adopt: %v", err)
+		}
+		aresp.Body.Close()
+		expectCode(t, "adopt", aresp.StatusCode, http.StatusOK)
+		waitState(t, ts, "job-000006@a", StateCanceled)
+		close(release)
+		waitState(t, ts, running.ID, StateDone)
+		checkLedger(t, metricsDoc(t, ts), map[string]float64{"submitted": 3, "canceled": 2, "completed": 1})
 	})
 
 	t.Run("migrated-and-adopted-by-migration", func(t *testing.T) {

@@ -51,38 +51,41 @@ type metrics struct {
 	tenantOrder []string
 }
 
-// tenantCounters is one tenant's slice of the accounting identity,
-// indexed by tcField.
-type tenantCounters [numTCFields]uint64
-
-// tcField selects which tenantCounters counter tinc bumps. The
-// identity below is machine-checked: thermlint's acctid analyzer
-// proves over the tinc call sites that every tcSubmitted increment is
-// settled by exactly one right-hand-side increment on every return
-// path (or is explicitly handed off to a later settle), so the
-// reconciliation loadgen.ChaosCheck asserts can never drift by
-// construction. migrated settles jobs herded to the ring successor
-// during drain: locally terminal, adopted (and re-submitted) by the
-// successor, so fleet-wide reconciliation subtracts migrations from
-// done totals.
-//
-//thermlint:identity tcField: tcSubmitted = tcHits + tcCompleted + tcFailed + tcCanceled + tcRejected + tcMigrated
-type tcField int
+// outcome is how a submission settled: one right-hand term of the
+// per-tenant accounting identity submitted = hits + completed + failed
+// + canceled + rejected + migrated, which loadgen.ChaosCheck reconciles
+// fleet-wide (migrated jobs are adopted and re-submitted by the ring
+// successor, so it subtracts them). There is no submitted outcome: the
+// left side moves only through answered and accepted below.
+type outcome int
 
 const (
-	tcSubmitted tcField = iota
-	tcHits
-	tcCompleted
-	tcFailed
-	tcCanceled
-	tcRejected
-	tcMigrated
-	numTCFields
+	outHits outcome = iota
+	outCompleted
+	outFailed
+	outCanceled
+	outRejected
+	outMigrated
+	numOutcomes
 )
 
-// tcNames are the tenant sub-document's leaf names, indexed by
-// tcField; they mirror the global jobs.* identity counters.
-var tcNames = [numTCFields]string{"submitted", "hits", "completed", "failed", "canceled", "rejected", "migrated"}
+// outcomeNames are the tenant sub-document's outcome leaf names,
+// indexed by outcome; they mirror the global identity counters.
+var outcomeNames = [numOutcomes]string{"hits", "completed", "failed", "canceled", "rejected", "migrated"}
+
+// stateOutcome is the outcome each terminal job state counts as.
+var stateOutcome = map[State]outcome{
+	StateDone:     outCompleted,
+	StateFailed:   outFailed,
+	StateCanceled: outCanceled,
+	StateMigrated: outMigrated,
+}
+
+// tenantCounters is one tenant's slice of the accounting identity.
+type tenantCounters struct {
+	submitted uint64
+	outcomes  [numOutcomes]uint64
+}
 
 // maxTenantCounters bounds the per-tenant metric map against tenant
 // churn; overflow tenants share the "other" bucket.
@@ -115,14 +118,34 @@ func (m *metrics) inc(c *stats.Counter) {
 	m.mu.Unlock()
 }
 
-// tinc bumps one of tenant's identity counters, creating the tenant's
-// slot on first sight (or folding into the overflow bucket once the
-// map is full).
-func (m *metrics) tinc(tenant string, f tcField) {
-	if tenant == "" {
-		tenant = DefaultTenant
-	}
+// answered counts a submission the server answered itself — a cache
+// hit, a dedup, a rejection, or a journaled terminal record — as
+// submitted and its outcome in one locked step.
+//
+//thermlint:callers admit handleSubmit handleSubmitBatch restore
+func (m *metrics) answered(tenant string, o outcome) { m.count(tenant, 1, o, 1) }
+
+// accepted counts a submission handed to the scheduler. It must come
+// before the hand-off, so no scrape sees the job's outcome first.
+//
+//thermlint:callers admit restore
+func (m *metrics) accepted(tenant string) { m.count(tenant, 1, 0, 0) }
+
+// settled counts the outcome of an accepted submission: once per
+// claim in Server.settle, or as rejected when admit's push is refused.
+//
+//thermlint:callers settle admit
+func (m *metrics) settled(tenant string, o outcome) { m.count(tenant, 0, o, 1) }
+
+// count adds submitted submissions and n outcomes o to the counters of
+// tenant (already normalized by tenantOrDefault) in one locked step,
+// creating its slot on first sight, or folding it into the overflow
+// bucket once the map is full.
+//
+//thermlint:callers answered accepted settled
+func (m *metrics) count(tenant string, submitted uint64, o outcome, n uint64) {
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	tc, ok := m.tenants[tenant]
 	if !ok {
 		if len(m.tenants) >= maxTenantCounters {
@@ -135,8 +158,8 @@ func (m *metrics) tinc(tenant string, f tcField) {
 			m.tenantOrder = append(m.tenantOrder, tenant)
 		}
 	}
-	tc[f]++
-	m.mu.Unlock()
+	tc.submitted += submitted
+	tc.outcomes[o] += n
 }
 
 // observeQueueWait records one popped job's time in queue under its
@@ -204,53 +227,30 @@ type gauges struct {
 func (m *metrics) snapshot(g gauges) map[string]any {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	hists := make(map[string]stats.HistogramSnapshot, len(m.latency))
-	quants := make(map[string]map[string]float64)
-	for k, h := range m.latency {
-		snap := h.Snapshot()
-		hists[string(k)] = snap
-		if snap.Total > 0 {
-			quants[string(k)] = map[string]float64{
-				metricQuantP50: snap.Quantile(0.50),
-				metricQuantP95: snap.Quantile(0.95),
-				metricQuantP99: snap.Quantile(0.99),
-			}
-		}
-	}
-	qhists := make(map[string]stats.HistogramSnapshot, len(m.qwait))
-	qquants := make(map[string]map[string]float64)
-	for class, h := range m.qwait {
-		snap := h.Snapshot()
-		qhists[class] = snap
-		if snap.Total > 0 {
-			qquants[class] = map[string]float64{
-				metricQuantP50: snap.Quantile(0.50),
-				metricQuantP95: snap.Quantile(0.95),
-				metricQuantP99: snap.Quantile(0.99),
-			}
-		}
-	}
+	hists, quants := histDocs(m.latency)
+	qhists, qquants := histDocs(m.qwait)
 	// The global identity counters are sums over the tenants.
 	var total tenantCounters
 	tenants := make(map[string]any, len(m.tenantOrder))
 	for _, t := range m.tenantOrder {
 		tc := m.tenants[t]
 		tenants[t] = tc.doc()
-		for f, n := range tc {
-			total[f] += n
+		total.submitted += tc.submitted
+		for o, n := range tc.outcomes {
+			total.outcomes[o] += n
 		}
 	}
 	if g.faultsInjected == nil {
 		g.faultsInjected = map[string]uint64{}
 	}
 	return nestMetrics(map[string]any{
-		metricJobsSubmitted:        total[tcSubmitted],
+		metricJobsSubmitted:        total.submitted,
 		metricJobsRunning:          g.running,
-		metricJobsCompleted:        total[tcCompleted],
-		metricJobsFailed:           total[tcFailed],
-		metricJobsCanceled:         total[tcCanceled],
-		metricJobsRejected:         total[tcRejected],
-		metricJobsMigrated:         total[tcMigrated],
+		metricJobsCompleted:        total.outcomes[outCompleted],
+		metricJobsFailed:           total.outcomes[outFailed],
+		metricJobsCanceled:         total.outcomes[outCanceled],
+		metricJobsRejected:         total.outcomes[outRejected],
+		metricJobsMigrated:         total.outcomes[outMigrated],
 		metricJobsPanicsRecovered:  m.panicsRecovered.Value(),
 		metricJobsDeadlineExceeded: m.deadlineExceeded.Value(),
 		metricJobsDeduped:          m.deduped.Value(),
@@ -294,7 +294,7 @@ func (m *metrics) snapshot(g gauges) map[string]any {
 		metricQueueDepth:    g.queueDepth,
 		metricQueueCapacity: g.queueCap,
 
-		metricCacheHits:     total[tcHits],
+		metricCacheHits:     total.outcomes[outHits],
 		metricCacheMisses:   m.cacheMisses.Value(),
 		metricCacheEntries:  g.cacheLen,
 		metricCacheCapacity: g.cacheCap,
@@ -313,12 +313,34 @@ func (m *metrics) snapshot(g gauges) map[string]any {
 	})
 }
 
+// histDocs snapshots each histogram of hs and, for those holding
+// samples, its p50/p95/p99. Caller holds m.mu.
+//
+//thermlint:metricsdoc
+func histDocs[K ~string](hs map[K]*stats.Histogram) (map[string]stats.HistogramSnapshot, map[string]map[string]float64) {
+	snaps := make(map[string]stats.HistogramSnapshot, len(hs))
+	quants := make(map[string]map[string]float64)
+	for k, h := range hs {
+		snap := h.Snapshot()
+		snaps[string(k)] = snap
+		if snap.Total > 0 {
+			quants[string(k)] = map[string]float64{
+				metricQuantP50: snap.Quantile(0.50),
+				metricQuantP95: snap.Quantile(0.95),
+				metricQuantP99: snap.Quantile(0.99),
+			}
+		}
+	}
+	return snaps, quants
+}
+
 // doc renders one tenant's counters as its sub-document under the
 // registered "tenants" key. Caller holds m.mu.
 func (tc *tenantCounters) doc() map[string]any {
-	d := make(map[string]any, len(tc))
-	for f, n := range tc {
-		d[tcNames[f]] = n
+	d := make(map[string]any, 1+numOutcomes)
+	d["submitted"] = tc.submitted
+	for o, n := range tc.outcomes {
+		d[outcomeNames[o]] = n
 	}
 	return d
 }

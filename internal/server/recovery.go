@@ -86,40 +86,29 @@ func (s *Server) applyReplay() {
 // result cache with a recovered result, and re-enqueues unfinished
 // work. It reports whether the job was re-enqueued.
 func (s *Server) restore(j *job, rec *journal.JobRecord) bool {
-	s.metrics.tinc(j.tenant, tcSubmitted)
-	switch State(rec.State) {
-	case StateDone:
-		if rec.FromCache {
-			s.metrics.tinc(j.tenant, tcHits)
-		} else {
-			s.metrics.inc(&s.metrics.cacheMisses)
-			s.metrics.tinc(j.tenant, tcCompleted)
-		}
-		if len(rec.Result) > 0 && rec.Key != "" {
-			// Resubmissions of recovered work stay hits across the restart.
-			s.cache.put(rec.Key, rec.Result)
-		}
-	case StateFailed:
+	o, terminal := stateOutcome[State(rec.State)]
+	switch {
+	case rec.FromCache:
+		s.metrics.answered(j.tenant, outHits)
+	case terminal:
 		s.metrics.inc(&s.metrics.cacheMisses)
-		s.metrics.tinc(j.tenant, tcFailed)
-	case StateCanceled:
-		s.metrics.inc(&s.metrics.cacheMisses)
-		s.metrics.tinc(j.tenant, tcCanceled)
-	case StateMigrated:
-		s.metrics.inc(&s.metrics.cacheMisses)
-		s.metrics.tinc(j.tenant, tcMigrated)
+		s.metrics.answered(j.tenant, o)
 	default:
 		s.metrics.inc(&s.metrics.cacheMisses)
 		// Re-classify at requeue time: the predictor may have trained
 		// since this job was first admitted (or be empty after a cold
 		// restart, defaulting the class to short).
 		j.setClass(s.predictor.Predict(j.pkey))
+		s.metrics.accepted(j.tenant)
 		err := s.sched.requeue(j)
 		if err != nil {
 			s.settle(j, StateQueued, StateCanceled, nil, "requeue failed: "+err.Error(), nil)
 		}
-		//thermlint:handoff -- a re-enqueued job settles when it runs; a refused one settled just above
 		return err == nil
+	}
+	if len(rec.Result) > 0 && rec.Key != "" {
+		// Resubmissions of recovered work stay hits across the restart.
+		s.cache.put(rec.Key, rec.Result)
 	}
 	return false
 }

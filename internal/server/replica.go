@@ -330,12 +330,14 @@ func (s *Server) handleMigrate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := shipMigration(req.TargetURL, s.cfg.NodeName, events); err != nil {
-		// Release: back to queued, and re-push in case a worker popped
+		// Release: back to queued, and requeue in case a worker popped
 		// (and skipped) a held job during the window. A duplicate queue
-		// entry is benign — tryStart's CAS absorbs the second pop.
+		// entry is benign — tryStart's CAS absorbs the second pop. The
+		// requeue skips the capacity bound: these jobs were admitted
+		// already, and their own entries may be what fills the queue.
 		for _, j := range held {
 			j.unclaim()
-			if perr := s.sched.push(j); perr != nil {
+			if perr := s.sched.requeue(j); perr != nil {
 				s.settle(j, StateQueued, StateCanceled, nil, "migration revert requeue failed: "+perr.Error(), nil)
 			}
 		}

@@ -270,7 +270,8 @@ func TestMigrateHerdsQueuedJobs(t *testing.T) {
 // locally, never to losing it, and no client ever sees the job
 // migrated. Two failures: a target that stalls and then refuses the
 // handoff (during the stall the job reads queued, and a cancel answers
-// 409 naming the migration), and an unreachable one.
+// 409 naming the migration), an unreachable one, and an unreachable
+// one while the held job alone fills the queue.
 func TestMigrateRevertOnFailure(t *testing.T) {
 	t.Run("stall-then-500", func(t *testing.T) {
 		arrived, refuse := make(chan struct{}), make(chan struct{})
@@ -283,7 +284,7 @@ func TestMigrateRevertOnFailure(t *testing.T) {
 		t.Cleanup(target.Close)
 		refuseAll := func() { refuseOnce.Do(func() { close(refuse) }) }
 		t.Cleanup(refuseAll) // unblocks the handler before target.Close waits on it
-		migrateAndRevert(t, target.URL, func(tsa *httptest.Server, id string) {
+		migrateAndRevert(t, target.URL, 16, func(tsa *httptest.Server, id string) {
 			<-arrived
 			for i := 0; i < 20; i++ {
 				if st := getStatus(t, tsa, id); st.State != StateQueued {
@@ -307,22 +308,28 @@ func TestMigrateRevertOnFailure(t *testing.T) {
 	t.Run("unreachable", func(t *testing.T) {
 		dead := httptest.NewServer(http.NotFoundHandler())
 		dead.Close()
-		migrateAndRevert(t, dead.URL, func(*httptest.Server, string) {})
+		migrateAndRevert(t, dead.URL, 16, func(*httptest.Server, string) {})
+	})
+	t.Run("full-queue", func(t *testing.T) {
+		dead := httptest.NewServer(http.NotFoundHandler())
+		dead.Close()
+		migrateAndRevert(t, dead.URL, 1, func(*httptest.Server, string) {})
 	})
 }
 
 // migrateAndRevert migrates a node with one running and one queued job
 // to a target that fails the handoff, calling during while the
 // migration is in flight, and checks that the queued job is released
-// to queued and then runs locally.
-func migrateAndRevert(t *testing.T, targetURL string, during func(tsa *httptest.Server, queuedID string)) {
+// to queued and then runs locally, even when it alone fills a queue of
+// queueDepth.
+func migrateAndRevert(t *testing.T, targetURL string, queueDepth int, during func(tsa *httptest.Server, queuedID string)) {
 	t.Helper()
-	sa, tsa := newTestServer(t, Config{Workers: 1, QueueDepth: 16, CacheSize: 16, NodeName: "a"})
+	sa, tsa := newTestServer(t, Config{Workers: 1, QueueDepth: queueDepth, CacheSize: 16, NodeName: "a"})
 	release := make(chan struct{})
 	stubExec(sa, blockingExec(release))
 	_, stRunning := postJob(t, tsa, specBody(21))
-	_, stQueued := postJob(t, tsa, specBody(22))
 	waitState(t, tsa, stRunning.ID, StateRunning)
+	_, stQueued := postJob(t, tsa, specBody(22))
 
 	body := `{"target_name":"x","target_url":"` + targetURL + `"}`
 	migrated := make(chan int, 1)

@@ -618,16 +618,9 @@ func (s *Server) settle(j *job, from, to State, result json.RawMessage, detail s
 	}
 	s.settling.RUnlock()
 	s.cfg.Repl.Replicate(ev)
-	switch to {
-	case StateDone:
-		s.metrics.tinc(j.tenant, tcCompleted)
+	s.metrics.settled(j.tenant, stateOutcome[to])
+	if to == StateDone {
 		s.cache.put(j.key, result)
-	case StateFailed:
-		s.metrics.tinc(j.tenant, tcFailed)
-	case StateCanceled:
-		s.metrics.tinc(j.tenant, tcCanceled)
-	case StateMigrated:
-		s.metrics.tinc(j.tenant, tcMigrated)
 	}
 	if cause != nil {
 		s.metrics.inc(cause)
@@ -873,8 +866,7 @@ func (s *Server) admit(spec Spec, idemKey, tenant string) (st Status, code int, 
 		s.mu.Unlock()
 		if j != nil {
 			s.metrics.inc(&s.metrics.deduped)
-			s.metrics.tinc(tenant, tcSubmitted)
-			s.metrics.tinc(tenant, tcHits)
+			s.metrics.answered(tenant, outHits)
 			return j.status(), http.StatusOK, true, nil
 		}
 	}
@@ -883,9 +875,8 @@ func (s *Server) admit(spec Spec, idemKey, tenant string) (st Status, code int, 
 		return Status{}, http.StatusBadRequest, false, fmt.Errorf("invalid job: %w", err)
 	}
 	j.tenant = tenant
-	s.metrics.tinc(tenant, tcSubmitted)
 	if res, ok := s.cache.get(j.key); ok {
-		s.metrics.tinc(tenant, tcHits)
+		s.metrics.answered(tenant, outHits)
 		j.finishFromCache(res)
 		s.register(j, idemKey)
 		// Best-effort journaling: the 200 response already carries the
@@ -900,12 +891,12 @@ func (s *Server) admit(spec Spec, idemKey, tenant string) (st Status, code int, 
 	// and dedups above are free — quotas meter execution capacity.
 	if ferr := s.faults.Fire(FaultQuota); ferr != nil {
 		s.metrics.inc(&s.metrics.quotaRejects)
-		s.metrics.tinc(tenant, tcRejected)
+		s.metrics.answered(tenant, outRejected)
 		return Status{}, http.StatusTooManyRequests, false, &quotaError{tenant: tenant, retryAfter: 1}
 	}
 	if ok, retry := s.quotas.Take(tenant, s.cfg.Clock.Now()); !ok {
 		s.metrics.inc(&s.metrics.quotaRejects)
-		s.metrics.tinc(tenant, tcRejected)
+		s.metrics.answered(tenant, outRejected)
 		return Status{}, http.StatusTooManyRequests, false,
 			&quotaError{tenant: tenant, retryAfter: int(retry/time.Second) + 1}
 	}
@@ -914,12 +905,12 @@ func (s *Server) admit(spec Spec, idemKey, tenant string) (st Status, code int, 
 	// 503 storm when the queue finally overflows.
 	if shedding, retryAfter := s.brownout(); shedding {
 		s.metrics.inc(&s.metrics.brownoutRejects)
-		s.metrics.tinc(tenant, tcRejected)
+		s.metrics.answered(tenant, outRejected)
 		return Status{}, http.StatusTooManyRequests, false,
 			&brownoutError{wait: s.sched.oldestWait(), retryAfter: retryAfter}
 	}
 	if err := s.faults.Fire(FaultAdmit); err != nil {
-		s.metrics.tinc(tenant, tcRejected)
+		s.metrics.answered(tenant, outRejected)
 		return Status{}, http.StatusServiceUnavailable, false, err
 	}
 	// Classify for the scheduler: the cost predictor's verdict rides on
@@ -936,24 +927,26 @@ func (s *Server) admit(spec Spec, idemKey, tenant string) (st Status, code int, 
 	s.register(j, idemKey)
 	if err := s.logEvent(acceptedEvent(j, idemKey)); err != nil {
 		s.unregister(j, idemKey)
-		s.metrics.tinc(tenant, tcRejected)
+		s.metrics.answered(tenant, outRejected)
 		return Status{}, http.StatusServiceUnavailable, false,
 			fmt.Errorf("journal write failed; job not accepted: %w", err)
 	}
+	// Count the submission before the hand-off: a worker may settle
+	// the job before push even returns.
+	s.metrics.accepted(tenant)
 	if err := s.sched.push(j); err != nil {
 		// The acceptance is journaled; record the cancellation so a
 		// replay does not resurrect a job the client saw rejected, and
 		// roll back the registration so a retry of the same idempotency
 		// key re-enqueues instead of deduping to a dead job. No client
-		// saw this job, so it is counted here as rejected, not settled.
+		// saw this job, so its acceptance settles here as rejected.
 		j.claim(StateQueued, StateCanceled, nil, "queue rejected job")
 		s.logEvent(j.terminalEvent())
 		j.cancel()
 		s.unregister(j, idemKey)
-		s.metrics.tinc(tenant, tcRejected)
+		s.metrics.settled(tenant, outRejected)
 		return Status{}, http.StatusServiceUnavailable, false, err
 	}
-	//thermlint:handoff -- the 202 hands the obligation to the worker: runJob (or the watchdog) settles it via settle
 	return j.status(), http.StatusAccepted, false, nil
 }
 
@@ -966,10 +959,7 @@ func acceptedEvent(j *job, idemKey string) journal.Event {
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	tenant := r.Header.Get(TenantHeader)
 	if s.draining.Load() {
-		// Count the rejection as a submission too, preserving the
-		// accounting identity submitted == hits + terminal outcomes.
-		s.metrics.tinc(tenantOrDefault(tenant), tcSubmitted)
-		s.metrics.tinc(tenantOrDefault(tenant), tcRejected)
+		s.metrics.answered(tenantOrDefault(tenant), outRejected)
 		httpjson.Error(w, http.StatusServiceUnavailable, "server is draining; not accepting jobs")
 		return
 	}
