@@ -21,6 +21,7 @@ import (
 	"thermalherd/internal/cpu"
 	"thermalherd/internal/experiments"
 	"thermalherd/internal/floorplan"
+	"thermalherd/internal/power"
 	"thermalherd/internal/thermal"
 	"thermalherd/internal/trace"
 )
@@ -327,14 +328,13 @@ func BenchmarkThermalTransient(b *testing.B) {
 // density).
 func BenchmarkThermalSolver(b *testing.B) {
 	for _, c := range []struct {
-		name  string
-		fp    *floorplan.Floorplan
-		build func(*floorplan.Floorplan, thermal.PowerFor, int, int) (*thermal.Stack, error)
-		grid  int
+		name string
+		fp   *floorplan.Floorplan
+		grid int
 	}{
-		{"planar", floorplan.Planar(), thermal.BuildPlanar, thermal.DefaultGrid},
-		{"stacked", floorplan.Stacked(), thermal.BuildStacked, thermal.DefaultGrid},
-		{"stacked64", floorplan.Stacked(), thermal.BuildStacked, 64},
+		{"planar", power.FloorplanFor(config.Baseline()), thermal.DefaultGrid},
+		{"stacked", power.FloorplanFor(config.ThreeD()), thermal.DefaultGrid},
+		{"stacked64", power.FloorplanFor(config.ThreeD()), 64},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			var area float64
@@ -348,7 +348,7 @@ func BenchmarkThermalSolver(b *testing.B) {
 				density[u] = 0.5 + float64(i*7%len(c.fp.Units))/float64(len(c.fp.Units))
 			}
 			watts := func(u floorplan.Unit) float64 { return 60 * density[u] * u.Area() / area }
-			stack, err := c.build(c.fp, watts, c.grid, c.grid)
+			stack, err := thermal.Build(c.fp, watts, c.grid, c.grid)
 			if err != nil {
 				b.Fatal(err)
 			}

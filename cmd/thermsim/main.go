@@ -13,6 +13,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"thermalherd/internal/config"
@@ -37,22 +38,20 @@ func main() {
 	if *doMap {
 		*doThermal = true
 	}
-	if err := run(*workload, *cfgName, *ff, *warm, *measure, *doThermal, *doMap); err != nil {
+	if err := run(os.Stdout, *workload, *cfgName, *ff, *warm, *measure, *doThermal, *doMap); err != nil {
 		fmt.Fprintln(os.Stderr, "thermsim:", err)
 		os.Exit(1)
 	}
 }
 
-func configByName(name string) (config.Machine, error) {
-	return config.ByName(name)
-}
-
-func run(workload, cfgName string, ff, warm, measure uint64, doThermal, doMap bool) error {
+// run simulates workload on the named configuration and writes the
+// report to w.
+func run(w io.Writer, workload, cfgName string, ff, warm, measure uint64, doThermal, doMap bool) error {
 	prof, err := trace.ProfileByName(workload)
 	if err != nil {
 		return err
 	}
-	cfg, err := configByName(cfgName)
+	cfg, err := config.ByName(cfgName)
 	if err != nil {
 		return err
 	}
@@ -64,19 +63,19 @@ func run(workload, cfgName string, ff, warm, measure uint64, doThermal, doMap bo
 	c.Warmup(warm)
 	s := c.Run(measure)
 
-	fmt.Printf("workload %s (%s) on %s @ %.2f GHz\n", prof.Name, prof.Group, cfg.Name, cfg.ClockGHz)
-	fmt.Printf("  insts %d  cycles %d  IPC %.3f  IPns %.3f\n", s.Insts, s.Cycles, s.IPC(), s.IPns(cfg.ClockGHz))
-	fmt.Printf("  branch: count %d  mispredict %.2f%%  dir-acc %.3f  BTB hit %.3f\n",
+	fmt.Fprintf(w, "workload %s (%s) on %s @ %.2f GHz\n", prof.Name, prof.Group, cfg.Name, cfg.ClockGHz)
+	fmt.Fprintf(w, "  insts %d  cycles %d  IPC %.3f  IPns %.3f\n", s.Insts, s.Cycles, s.IPC(), s.IPns(cfg.ClockGHz))
+	fmt.Fprintf(w, "  branch: count %d  mispredict %.2f%%  dir-acc %.3f  BTB hit %.3f\n",
 		s.BranchCount, 100*float64(s.BranchMispred)/float64(max(s.BranchCount, 1)),
 		s.DirAccuracy, s.BTBHitRate)
-	fmt.Printf("  memory: L1D miss %.3f  L2 miss %.3f  DRAM accesses %d\n",
+	fmt.Fprintf(w, "  memory: L1D miss %.3f  L2 miss %.3f  DRAM accesses %d\n",
 		s.L1DMissRate, s.L2MissRate, s.DRAMAccesses)
 	if cfg.ThermalHerding {
-		fmt.Printf("  width:  accuracy %.3f  unsafe %.4f  RF stalls %d  ALU stalls %d  re-exec %d  D$ unsafe %d\n",
+		fmt.Fprintf(w, "  width:  accuracy %.3f  unsafe %.4f  RF stalls %d  ALU stalls %d  re-exec %d  D$ unsafe %d\n",
 			s.WidthAccuracy, s.WidthUnsafeRate, s.RFGroupStalls, s.ALUInputStalls, s.ALUReexecutes, s.DCacheUnsafe)
-		fmt.Printf("  herd:   PAM hit %.3f  RS top-die %.3f  bcast dies %.2f  PV low %.3f (zeros-only %.3f)\n",
+		fmt.Fprintf(w, "  herd:   PAM hit %.3f  RS top-die %.3f  bcast dies %.2f  PV low %.3f (zeros-only %.3f)\n",
 			s.PAMHitRate, s.RSTopDieShare, s.MeanBroadcastDie, s.PV.LowFraction(), s.PV.ZeroOnlyFraction())
-		fmt.Printf("  intexec top-die share %.3f  dcache top-die share %.3f\n",
+		fmt.Fprintf(w, "  intexec top-die share %.3f  dcache top-die share %.3f\n",
 			s.BlockDie[floorplan.BlkIntExec].TopDieShare(),
 			s.BlockDie[floorplan.BlkDCache].TopDieShare())
 	}
@@ -84,26 +83,15 @@ func run(workload, cfgName string, ff, warm, measure uint64, doThermal, doMap bo
 	if !doThermal {
 		return nil
 	}
-	fp := floorplan.Planar()
-	if cfg.ThreeD {
-		fp = floorplan.Stacked()
-	}
+	fp := power.FloorplanFor(cfg)
 	b, err := power.Compute(cfg, s, fp)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("  power:  dynamic %.1f W  clock %.1f W  leakage %.1f W  total %.1f W\n",
+	fmt.Fprintf(w, "  power:  dynamic %.1f W  clock %.1f W  leakage %.1f W  total %.1f W\n",
 		b.DynamicW, b.ClockW, b.LeakageW, b.TotalW)
 
-	watts := func(u floorplan.Unit) float64 {
-		return b.UnitW[power.UnitKey{Block: u.Block, Core: u.Core, Die: u.Die}]
-	}
-	var stack *thermal.Stack
-	if cfg.ThreeD {
-		stack, err = thermal.BuildStacked(fp, watts, thermal.DefaultGrid, thermal.DefaultGrid)
-	} else {
-		stack, err = thermal.BuildPlanar(fp, watts, thermal.DefaultGrid, thermal.DefaultGrid)
-	}
+	stack, err := thermal.Build(fp, b.Watts, thermal.DefaultGrid, thermal.DefaultGrid)
 	if err != nil {
 		return err
 	}
@@ -117,11 +105,11 @@ func run(workload, cfgName string, ff, warm, measure uint64, doThermal, doMap bo
 	if ok {
 		hot = fmt.Sprintf("%v (core %d, die %d)", u.Block, u.Core, u.Die)
 	}
-	fmt.Printf("  thermal: peak %.1f K in layer %s, hotspot %s\n", peak, stack.Layers[layer].Name, hot)
+	fmt.Fprintf(w, "  thermal: peak %.1f K in layer %s, hotspot %s\n", peak, stack.Layers[layer].Name, hot)
 	if doMap {
 		lo := thermal.AmbientK
 		for d := 0; d < fp.NumDies; d++ {
-			fmt.Println(sol.RenderLayer(thermal.DieLayerIndex(d), lo, peak))
+			fmt.Fprintln(w, sol.RenderLayer(thermal.DieLayerIndex(d), lo, peak))
 		}
 	}
 	return nil

@@ -11,7 +11,6 @@ import (
 
 	"thermalherd/internal/config"
 	"thermalherd/internal/cpu"
-	"thermalherd/internal/floorplan"
 	"thermalherd/internal/power"
 	"thermalherd/internal/thermal"
 	"thermalherd/internal/trace"
@@ -42,25 +41,14 @@ func main() {
 		stats := core.Run(150_000)
 
 		// 2. Power: activity × per-access energy + clock + leakage.
-		fp := floorplan.Planar()
-		if cfg.ThreeD {
-			fp = floorplan.Stacked()
-		}
+		fp := power.FloorplanFor(cfg) // planar, or the 4-die stack for 3D
 		breakdown, err := power.Compute(cfg, stats, fp)
 		if err != nil {
 			log.Fatal(err)
 		}
 
 		// 3. Thermals: solve the die stack.
-		watts := func(u floorplan.Unit) float64 {
-			return breakdown.UnitW[power.UnitKey{Block: u.Block, Core: u.Core, Die: u.Die}]
-		}
-		var stack *thermal.Stack
-		if cfg.ThreeD {
-			stack, err = thermal.BuildStacked(fp, watts, 24, 24)
-		} else {
-			stack, err = thermal.BuildPlanar(fp, watts, 24, 24)
-		}
+		stack, err := thermal.Build(fp, breakdown.Watts, 24, 24)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -12,7 +12,6 @@ import (
 
 	"thermalherd/internal/config"
 	"thermalherd/internal/cpu"
-	"thermalherd/internal/floorplan"
 	"thermalherd/internal/power"
 	"thermalherd/internal/thermal"
 	"thermalherd/internal/trace"
@@ -34,15 +33,12 @@ func main() {
 		core.Warmup(100_000)
 		stats := core.Run(150_000)
 
-		fp := floorplan.Stacked()
+		fp := power.FloorplanFor(cfg)
 		breakdown, err := power.Compute(cfg, stats, fp)
 		if err != nil {
 			log.Fatal(err)
 		}
-		watts := func(u floorplan.Unit) float64 {
-			return breakdown.UnitW[power.UnitKey{Block: u.Block, Core: u.Core, Die: u.Die}]
-		}
-		stack, err := thermal.BuildStacked(fp, watts, 32, 32)
+		stack, err := thermal.Build(fp, breakdown.Watts, 32, 32)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -6,7 +6,9 @@ import (
 	"thermalherd/internal/config"
 	"thermalherd/internal/core"
 	"thermalherd/internal/floorplan"
+	"thermalherd/internal/power"
 	"thermalherd/internal/stats"
+	"thermalherd/internal/thermal"
 	"thermalherd/internal/trace"
 )
 
@@ -115,7 +117,7 @@ func AblationD2DResistance(r *Runner, workload string, occupancies []float64) (*
 	if err != nil {
 		return nil, err
 	}
-	fp := floorplan.Stacked()
+	fp := power.FloorplanFor(cfg)
 	for _, occ := range occupancies {
 		keff := occ*395.0 + (1-occ)*0.026
 		stack, err := buildStackedWithD2DK(fp, b, keff, r.opts.Grid)
@@ -130,4 +132,19 @@ func AblationD2DResistance(r *Runner, workload string, occupancies []float64) (*
 		t.AddRow(fmt.Sprintf("%.0f%%", 100*occ), fmt.Sprintf("%.1f", keff), fmt.Sprintf("%.1f", peak))
 	}
 	return t, nil
+}
+
+// buildStackedWithD2DK builds the 3D thermal stack with an overridden
+// die-to-die interface conductivity (for the sensitivity sweep).
+func buildStackedWithD2DK(fp *floorplan.Floorplan, b *power.Breakdown, keff float64, grid int) (*thermal.Stack, error) {
+	stack, err := thermal.Build(fp, b.Watts, grid, grid)
+	if err != nil {
+		return nil, err
+	}
+	for i := range stack.Layers {
+		if thermal.LayerDie(stack, i) < 0 && stack.Layers[i].Name != "spreader" && stack.Layers[i].Name != "tim" {
+			stack.Layers[i].K = keff
+		}
+	}
+	return stack, nil
 }

@@ -6,7 +6,6 @@ import (
 	"thermalherd/internal/config"
 	"thermalherd/internal/core"
 	"thermalherd/internal/cpu"
-	"thermalherd/internal/floorplan"
 	"thermalherd/internal/power"
 	"thermalherd/internal/stats"
 	"thermalherd/internal/thermal"
@@ -69,8 +68,7 @@ func PerfToPower(r *Runner, workload string, points int) ([]PerfToPowerPoint, Pe
 		if err != nil {
 			return nil, ref, err
 		}
-		fp := floorplan.Stacked()
-		b, err := power.Compute(cfg, s, fp)
+		b, err := PowerOf(cfg, workload, s)
 		if err != nil {
 			return nil, ref, err
 		}
@@ -120,15 +118,11 @@ func MixedPair(r *Runner, cfg config.Machine, wl0, wl1 string) (*MixedPairResult
 	if err != nil {
 		return nil, err
 	}
-	fp := floorplan.Planar()
-	if cfg.ThreeD {
-		fp = floorplan.Stacked()
-	}
-	b, err := power.ComputeDual(cfg, [2]*cpu.Stats{s0, s1}, fp)
+	b, err := power.ComputeDual(cfg, [2]*cpu.Stats{s0, s1}, power.FloorplanFor(cfg))
 	if err != nil {
 		return nil, err
 	}
-	sol, _, err := r.SolveThermal(cfg, b)
+	sol, fp, err := r.SolveThermal(cfg, b)
 	if err != nil {
 		return nil, err
 	}
@@ -179,11 +173,7 @@ func ThermalTransient(r *Runner, workload string, duration float64) (*thermal.Tr
 	if err != nil {
 		return nil, err
 	}
-	fp := floorplan.Stacked()
-	watts := func(u floorplan.Unit) float64 {
-		return b.UnitW[power.UnitKey{Block: u.Block, Core: u.Core, Die: u.Die}]
-	}
-	stack, err := thermal.BuildStacked(fp, watts, 16, 16)
+	stack, err := thermal.Build(power.FloorplanFor(cfg), b.Watts, 16, 16)
 	if err != nil {
 		return nil, err
 	}

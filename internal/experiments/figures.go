@@ -406,11 +406,8 @@ func DensityStudy(r *Runner, workload string) (planarPeakK, densityPeakK float64
 	}
 	planarPeakK, _, _, _ = sol.Peak()
 
-	sfp := floorplan.Stacked()
-	m := power.DensityStudyMap(base, sfp)
-	stack, err := thermal.BuildStacked(sfp, func(u floorplan.Unit) float64 {
-		return m[power.UnitKey{Block: u.Block, Core: u.Core, Die: u.Die}]
-	}, r.opts.Grid, r.opts.Grid)
+	sfp := floorplan.Stacked() // the density target, whatever the machine
+	stack, err := thermal.Build(sfp, power.DensityStudyMap(base, sfp), r.opts.Grid, r.opts.Grid)
 	if err != nil {
 		return 0, 0, err
 	}

@@ -6,7 +6,6 @@ import (
 	"thermalherd/internal/config"
 	"thermalherd/internal/cpu"
 	"thermalherd/internal/emu"
-	"thermalherd/internal/floorplan"
 	"thermalherd/internal/kernels"
 	"thermalherd/internal/power"
 	"thermalherd/internal/thermal"
@@ -33,23 +32,12 @@ func TestKernelEndToEnd(t *testing.T) {
 		if got := m.IntRegs[k.ResultReg]; got != k.Expected {
 			t.Fatalf("kernel result %d, want %d", got, k.Expected)
 		}
-		fp := floorplan.Planar()
-		if cfg.ThreeD {
-			fp = floorplan.Stacked()
-		}
+		fp := power.FloorplanFor(cfg)
 		b, err := power.Compute(cfg, s, fp)
 		if err != nil {
 			t.Fatal(err)
 		}
-		watts := func(u floorplan.Unit) float64 {
-			return b.UnitW[power.UnitKey{Block: u.Block, Core: u.Core, Die: u.Die}]
-		}
-		var stack *thermal.Stack
-		if cfg.ThreeD {
-			stack, err = thermal.BuildStacked(fp, watts, 16, 16)
-		} else {
-			stack, err = thermal.BuildPlanar(fp, watts, 16, 16)
-		}
+		stack, err := thermal.Build(fp, b.Watts, 16, 16)
 		if err != nil {
 			t.Fatal(err)
 		}

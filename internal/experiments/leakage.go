@@ -35,44 +35,24 @@ func LeakageFeedback(r *Runner, cfg config.Machine, workload string) (*LeakageFe
 	if err != nil {
 		return nil, err
 	}
-	fp := floorplan.Planar()
-	build := thermal.BuildPlanar
-	if cfg.ThreeD {
-		fp = floorplan.Stacked()
-		build = thermal.BuildStacked
-	}
-
-	solveWith := func(unitW map[power.UnitKey]float64) (*thermal.Solution, error) {
-		stack, err := build(fp, func(u floorplan.Unit) float64 {
-			return unitW[power.UnitKey{Block: u.Block, Core: u.Core, Die: u.Die}]
-		}, r.opts.Grid, r.opts.Grid)
-		if err != nil {
-			return nil, err
-		}
-		return stack.Solve()
-	}
-
-	base, err := solveWith(b.UnitW)
+	sol, fp, err := r.SolveThermal(cfg, b)
 	if err != nil {
 		return nil, err
 	}
 	res := &LeakageFeedbackResult{}
-	res.PeakNoFeedbackK, _, _, _ = base.Peak()
+	res.PeakNoFeedbackK, _, _, _ = sol.Peak()
 
-	cur := make(map[power.UnitKey]float64, len(b.UnitW))
-	for k, v := range b.UnitW {
-		cur[k] = v
-	}
+	// RescaleLeakage rewrites every unit of cur each iteration.
+	cur := &power.Breakdown{UnitW: make(map[power.UnitKey]float64, len(fp.Units))}
 	prevPeak := res.PeakNoFeedbackK
-	sol := base
 	const maxIters = 20
 	for iter := 1; iter <= maxIters; iter++ {
 		res.Iterations = iter
 		// Rescale each unit's leakage by its local temperature.
 		res.LeakageW = b.RescaleLeakage(fp, func(u floorplan.Unit) float64 {
 			return power.LeakageScaleAt(thermal.PeakOfUnit(sol, fp, u))
-		}, cur)
-		sol, err = solveWith(cur)
+		}, cur.UnitW)
+		sol, _, err = r.SolveThermal(cfg, cur)
 		if err != nil {
 			return nil, err
 		}

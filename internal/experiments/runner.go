@@ -251,8 +251,7 @@ func (r *Runner) PowerFor(cfg config.Machine, workload string) (*power.Breakdown
 // PowerOf computes the power breakdown of workload under cfg from its
 // simulation statistics s.
 func PowerOf(cfg config.Machine, workload string, s *cpu.Stats) (*power.Breakdown, error) {
-	fp, _ := floorplanFor(cfg)
-	b, err := power.Compute(cfg, s, fp)
+	b, err := power.Compute(cfg, s, power.FloorplanFor(cfg))
 	if err != nil {
 		return nil, err
 	}
@@ -260,22 +259,11 @@ func PowerOf(cfg config.Machine, workload string, s *cpu.Stats) (*power.Breakdow
 	return b, nil
 }
 
-// floorplanFor returns cfg's floorplan and the thermal stack builder
-// that goes with it.
-func floorplanFor(cfg config.Machine) (*floorplan.Floorplan, func(*floorplan.Floorplan, thermal.PowerFor, int, int) (*thermal.Stack, error)) {
-	if cfg.ThreeD {
-		return floorplan.Stacked(), thermal.BuildStacked
-	}
-	return floorplan.Planar(), thermal.BuildPlanar
-}
-
-// SolveThermal runs the thermal solver on a power breakdown.
+// SolveThermal runs the thermal solver on a power breakdown of cfg,
+// on cfg's floorplan, which it returns with the solution.
 func (r *Runner) SolveThermal(cfg config.Machine, b *power.Breakdown) (*thermal.Solution, *floorplan.Floorplan, error) {
-	fp, build := floorplanFor(cfg)
-	watts := func(u floorplan.Unit) float64 {
-		return b.UnitW[power.UnitKey{Block: u.Block, Core: u.Core, Die: u.Die}]
-	}
-	stack, err := build(fp, watts, r.opts.Grid, r.opts.Grid)
+	fp := power.FloorplanFor(cfg)
+	stack, err := thermal.Build(fp, b.Watts, r.opts.Grid, r.opts.Grid)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -274,7 +274,10 @@ func TestGatewayTakeoverAdoptsDeadNode(t *testing.T) {
 // takeover armed, the admin drain migrates the node's queued jobs to
 // its ring successor immediately — the draining node keeps only its
 // running work, and every acked job still reaches done through the
-// gateway's migration chase. Also wrapped for goroutine hygiene.
+// gateway's migration chase, and runs exactly once fleet-wide: the
+// successor adopts only the migrated jobs, not the drainer's running
+// ones it also holds in its replica buffer. Also wrapped for goroutine
+// hygiene.
 func TestGatewayDrainMigratesQueuedJobs(t *testing.T) {
 	before := runtime.NumGoroutine()
 	t.Run("scenario", func(t *testing.T) {
@@ -311,6 +314,15 @@ func TestGatewayDrainMigratesQueuedJobs(t *testing.T) {
 			gids = append(gids, globalID(st.ID, victim))
 		}
 
+		// Drain only once both of the victim's workers hold a job, so
+		// exactly three are still queued.
+		for deadline := time.Now().Add(10 * time.Second); metricAt(t, fetchMetrics(t, victimURL), "jobs.running") < 2; {
+			if time.Now().After(deadline) {
+				t.Fatal("the victim never ran two jobs at once")
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+
 		resp, raw := adminDo(t, http.MethodPost, gts.URL+"/v1/admin/nodes/"+victim+"/drain", testAdminToken, "")
 		if resp.StatusCode != http.StatusAccepted {
 			t.Fatalf("drain: HTTP %d: %s", resp.StatusCode, raw)
@@ -329,12 +341,29 @@ func TestGatewayDrainMigratesQueuedJobs(t *testing.T) {
 				t.Fatalf("status id = %q, want the originally acked %q", st.ID, gid)
 			}
 		}
-		doc := fetchMetrics(t, gts.URL)
+		// Wait until the fleet is idle: nothing queued or running, and
+		// every submission (adoptions included) settled.
+		var doc map[string]any
+		for deadline := time.Now().Add(10 * time.Second); ; {
+			doc = fetchMetrics(t, gts.URL)
+			if metricAt(t, doc, "queue.depth") == 0 && metricAt(t, doc, "jobs.running") == 0 &&
+				metricAt(t, doc, "jobs.submitted") == metricAt(t, doc, "jobs.completed")+metricAt(t, doc, "jobs.migrated") {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("fleet never went idle: %v", doc["jobs"])
+			}
+			time.Sleep(20 * time.Millisecond)
+		}
 		if got := metricAt(t, doc, "gateway.migrations"); got != 1 {
 			t.Fatalf("gateway.migrations = %v, want 1", got)
 		}
-		if got := metricAt(t, doc, "jobs.migrated"); got < 1 {
-			t.Fatalf("fleet jobs.migrated = %v, want >= 1", got)
+		if got := metricAt(t, doc, "jobs.completed"); got != 5 {
+			t.Errorf("fleet jobs.completed = %v, want 5 (each acked job once)", got)
+		}
+		migrated, adopted := metricAt(t, doc, "jobs.migrated"), metricAt(t, doc, "repl.adopted")
+		if migrated != 3 || adopted != 3 {
+			t.Errorf("fleet jobs.migrated = %v, repl.adopted = %v, want 3 and 3", migrated, adopted)
 		}
 	})
 	waitGoroutinesSettle(t, before)

@@ -212,102 +212,69 @@ func (c *Client) SubmitBatch(ctx context.Context, specs []server.Spec, idemKeys,
 	return resp.Jobs, nil
 }
 
-// JobStatus fetches one job's current status.
-func (c *Client) JobStatus(ctx context.Context, id string) (server.Status, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/v1/jobs/"+id, nil)
+// getJSON GETs path and decodes its 200 answer into dst; any other
+// status is an error carrying the server's message. what names the
+// document in decode errors.
+func (c *Client) getJSON(ctx context.Context, path, what string, dst any) error {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+path, nil)
 	if err != nil {
-		return server.Status{}, err
+		return err
 	}
-	c.pollRequests.Add(1)
 	resp, err := c.hc.Do(req)
 	if err != nil {
-		return server.Status{}, err
+		return err
 	}
 	defer resp.Body.Close()
 	b, err := io.ReadAll(resp.Body)
 	if err != nil {
-		return server.Status{}, err
+		return err
 	}
 	if resp.StatusCode != http.StatusOK {
-		return server.Status{}, errorOf(b, resp.StatusCode)
+		return errorOf(b, resp.StatusCode)
 	}
+	if err := json.Unmarshal(b, dst); err != nil {
+		return fmt.Errorf("decode %s: %w", what, err)
+	}
+	return nil
+}
+
+// JobStatus fetches one job's current status.
+func (c *Client) JobStatus(ctx context.Context, id string) (server.Status, error) {
+	c.pollRequests.Add(1)
 	var st server.Status
-	if err := json.Unmarshal(b, &st); err != nil {
-		return server.Status{}, fmt.Errorf("decode status: %w", err)
-	}
-	return st, nil
+	err := c.getJSON(ctx, "/v1/jobs/"+id, "status", &st)
+	return st, err
 }
 
 // Healthz probes the daemon's liveness endpoint, returning its status
 // string ("ok" or "draining"); an unreachable or unhealthy daemon is
 // an error. Chaos runs use it to assert the process survived.
 func (c *Client) Healthz(ctx context.Context) (string, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/healthz", nil)
-	if err != nil {
-		return "", err
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return "", err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		b, _ := io.ReadAll(resp.Body)
-		return "", errorOf(b, resp.StatusCode)
-	}
 	var doc struct {
 		Status string `json:"status"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
-		return "", fmt.Errorf("decode healthz: %w", err)
-	}
-	return doc.Status, nil
+	err := c.getJSON(ctx, "/healthz", "healthz", &doc)
+	return doc.Status, err
 }
 
 // CountJobs returns how many known jobs are in the given lifecycle
 // state (all jobs when status is empty), via GET /v1/jobs's Total.
 func (c *Client) CountJobs(ctx context.Context, status string) (int, error) {
-	url := c.base + "/v1/jobs?limit=1"
+	path := "/v1/jobs?limit=1"
 	if status != "" {
-		url += "&status=" + status
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return 0, err
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return 0, err
-	}
-	defer resp.Body.Close()
-	b, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return 0, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return 0, errorOf(b, resp.StatusCode)
+		path += "&status=" + status
 	}
 	var list server.ListResponse
-	if err := json.Unmarshal(b, &list); err != nil {
-		return 0, fmt.Errorf("decode job list: %w", err)
-	}
-	return list.Total, nil
+	err := c.getJSON(ctx, path, "job list", &list)
+	return list.Total, err
 }
 
-// Metrics fetches the daemon's /metrics document.
+// Metrics fetches the daemon's /metrics document; a non-200 answer is
+// an error.
 func (c *Client) Metrics(ctx context.Context) (map[string]any, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/metrics", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
 	var doc map[string]any
-	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
-		return nil, fmt.Errorf("decode metrics: %w", err)
+	if err := c.getJSON(ctx, "/metrics", "metrics", &doc); err != nil {
+		return nil, err
 	}
 	return doc, nil
 }

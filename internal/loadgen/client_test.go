@@ -4,6 +4,7 @@ import (
 	"context"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -126,5 +127,24 @@ func TestPostRetryExhaustsBudget(t *testing.T) {
 	}
 	if got := calls.Load(); got != 3 {
 		t.Fatalf("server saw %d requests, want 1 + 2 retries", got)
+	}
+}
+
+// TestMetricsRejectsErrorStatus: a 5xx answer from /metrics is an
+// error carrying the server's message, not a metrics document made of
+// its error body.
+func TestMetricsRejectsErrorStatus(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.WriteHeader(http.StatusInternalServerError)
+		w.Write([]byte(`{"error":"metrics unavailable"}`))
+	}))
+	defer ts.Close()
+
+	doc, err := NewClient(ts.URL, 0, time.Millisecond, 1).Metrics(context.Background())
+	if err == nil {
+		t.Fatalf("Metrics on HTTP 500 = %v, want an error", doc)
+	}
+	if !strings.Contains(err.Error(), "HTTP 500") || !strings.Contains(err.Error(), "metrics unavailable") {
+		t.Fatalf("Metrics error %q does not carry the status and message", err)
 	}
 }

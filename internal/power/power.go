@@ -60,12 +60,8 @@ type Breakdown struct {
 	BlockW [floorplan.NumBlocks]float64
 	// UnitW maps every floorplan unit (block × core × die) to its
 	// total dissipated power including its share of clock and leakage
-	// — the thermal solver's input.
+	// — the thermal solver's input. Read it through Watts.
 	UnitW map[UnitKey]float64
-	// UnitLeakW is the leakage component of UnitW per unit, kept
-	// separate so temperature-dependent leakage models can rescale it
-	// (see LeakageScaleAt).
-	UnitLeakW map[UnitKey]float64
 }
 
 // UnitKey identifies a floorplan unit.
@@ -73,6 +69,22 @@ type UnitKey struct {
 	Block floorplan.BlockID
 	Core  int
 	Die   int
+}
+
+// FloorplanFor returns the floorplan cfg is implemented on: the 4-die
+// stack for a 3D machine, the planar layout otherwise. The caller owns
+// the result.
+func FloorplanFor(cfg config.Machine) *floorplan.Floorplan {
+	if cfg.ThreeD {
+		return floorplan.Stacked()
+	}
+	return floorplan.Planar()
+}
+
+// Watts returns unit u's dissipated power. Its method value is the
+// thermal solver's per-unit power input (a thermal.PowerFor).
+func (b *Breakdown) Watts(u floorplan.Unit) float64 {
+	return b.UnitW[UnitKey{u.Block, u.Core, u.Die}]
 }
 
 // Compute derives the power breakdown for cfg running the workload whose
@@ -94,11 +106,7 @@ func ComputeDual(cfg config.Machine, s [2]*cpu.Stats, fp *floorplan.Floorplan) (
 		return nil, fmt.Errorf("power: config %s (3D=%v) mismatched with floorplan %s",
 			cfg.Name, cfg.ThreeD, fp.Name)
 	}
-	b := &Breakdown{
-		Config:    cfg.Name,
-		UnitW:     make(map[UnitKey]float64),
-		UnitLeakW: make(map[UnitKey]float64),
-	}
+	b := &Breakdown{Config: cfg.Name, UnitW: make(map[UnitKey]float64, len(fp.Units))}
 
 	// Dynamic power per block and core. Watts = (accesses/cycle) ×
 	// f[GHz] × E[pJ] / 1000.
@@ -140,7 +148,12 @@ func ComputeDual(cfg config.Machine, s [2]*cpu.Stats, fp *floorplan.Floorplan) (
 	b.LeakageW = LeakageW()
 	b.TotalW = b.DynamicW + b.ClockW + b.LeakageW
 
-	b.distributeOverheads(fp)
+	// Clock and leakage are chip-wide: spread them over the units in
+	// proportion to area.
+	overhead, area := b.ClockW+b.LeakageW, totalArea(fp)
+	for _, u := range fp.Units {
+		b.UnitW[UnitKey{u.Block, u.Core, u.Die}] += overhead * u.Area() / area
+	}
 	return b, nil
 }
 
@@ -154,20 +167,13 @@ func (b *Breakdown) addUnit(blk floorplan.BlockID, coreIdx, die int, watts float
 	b.UnitW[UnitKey{blk, coreIdx, die}] += watts
 }
 
-// distributeOverheads spreads clock and leakage power over all floorplan
-// units proportionally to area (the clock network and subthreshold
-// leakage are chip-wide).
-func (b *Breakdown) distributeOverheads(fp *floorplan.Floorplan) {
-	var totalArea float64
+// totalArea sums fp's unit areas in fp.Units order.
+func totalArea(fp *floorplan.Floorplan) float64 {
+	var a float64
 	for _, u := range fp.Units {
-		totalArea += u.Area()
+		a += u.Area()
 	}
-	overhead := b.ClockW + b.LeakageW
-	for _, u := range fp.Units {
-		key := UnitKey{u.Block, u.Core, u.Die}
-		b.UnitW[key] += overhead * u.Area() / totalArea
-		b.UnitLeakW[key] = b.LeakageW * u.Area() / totalArea
-	}
+	return a
 }
 
 // UnitTotal sums the per-unit map over fp's units (equals TotalW up to
@@ -176,22 +182,22 @@ func (b *Breakdown) distributeOverheads(fp *floorplan.Floorplan) {
 func (b *Breakdown) UnitTotal(fp *floorplan.Floorplan) float64 {
 	var t float64
 	for _, u := range fp.Units {
-		t += b.UnitW[UnitKey{u.Block, u.Core, u.Die}]
+		t += b.Watts(u)
 	}
 	return t
 }
 
 // RescaleLeakage writes into dst each of fp's units' power with its
-// leakage share multiplied by scale(u), and returns the rescaled total
-// leakage. Units are visited in fp.Units order, so the total is the
-// same bits on every call.
+// leakage share (LeakageW in proportion to area) multiplied by
+// scale(u), and returns the rescaled total leakage. Units are visited
+// in fp.Units order, so the total is the same bits on every call.
 func (b *Breakdown) RescaleLeakage(fp *floorplan.Floorplan, scale func(floorplan.Unit) float64, dst map[UnitKey]float64) float64 {
 	var total float64
+	area := totalArea(fp)
 	for _, u := range fp.Units {
-		k := UnitKey{u.Block, u.Core, u.Die}
-		leak := b.UnitLeakW[k]
+		leak := b.LeakageW * u.Area() / area
 		scaled := leak * scale(u)
-		dst[k] = b.UnitW[k] - leak + scaled
+		dst[UnitKey{u.Block, u.Core, u.Die}] = b.Watts(u) - leak + scaled
 		total += scaled
 	}
 	return total
@@ -218,18 +224,15 @@ func LeakageScaleAt(tempK float64) float64 {
 	return math.Exp(LeakageBeta * (tempK - LeakageRefK))
 }
 
-// DensityStudyMap builds the per-unit power map for the paper's
-// Section 5.3 power-density experiment: the planar processor's 90 W at
-// 2.66 GHz forced into the 3D stack — each block's planar power is
-// divided evenly across its four die instances on the quarter footprint,
-// quadrupling power density while ignoring 3D's latency and power
-// benefits.
-func DensityStudyMap(planar *Breakdown, stacked *floorplan.Floorplan) map[UnitKey]float64 {
-	out := make(map[UnitKey]float64, len(planar.UnitW)*4)
-	for key, w := range planar.UnitW {
-		for d := 0; d < stacked.NumDies; d++ {
-			out[UnitKey{key.Block, key.Core, d}] += w / float64(stacked.NumDies)
-		}
+// DensityStudyMap returns the per-unit power of the paper's Section
+// 5.3 power-density experiment on the stacked floorplan: the planar
+// processor's 90 W at 2.66 GHz forced into the 3D stack — each block's
+// planar power is divided evenly across its die instances on the
+// quarter footprint, quadrupling power density while ignoring 3D's
+// latency and power benefits.
+func DensityStudyMap(planar *Breakdown, stacked *floorplan.Floorplan) func(floorplan.Unit) float64 {
+	return func(u floorplan.Unit) float64 {
+		u.Die = 0
+		return planar.Watts(u) / float64(stacked.NumDies)
 	}
-	return out
 }

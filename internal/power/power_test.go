@@ -33,11 +33,7 @@ func simulate(t *testing.T, cfg config.Machine, workload string, insts uint64) *
 func computeFor(t *testing.T, cfg config.Machine, workload string) *Breakdown {
 	t.Helper()
 	s := simulate(t, cfg, workload, 0)
-	fp := floorplan.Planar()
-	if cfg.ThreeD {
-		fp = floorplan.Stacked()
-	}
-	b, err := Compute(cfg, s, fp)
+	b, err := Compute(cfg, s, FloorplanFor(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,6 +161,21 @@ func TestComputeRejectsMismatchedFloorplan(t *testing.T) {
 	}
 }
 
+// TestFloorplanForMatchesCompute checks that every registered machine's
+// floorplan is one Compute accepts for it.
+func TestFloorplanForMatchesCompute(t *testing.T) {
+	s := simulate(t, config.Baseline(), "gzip", 5000)
+	for _, cfg := range config.Registry() {
+		fp := FloorplanFor(cfg)
+		if want := map[bool]int{false: 1, true: 4}[cfg.ThreeD]; fp.NumDies != want {
+			t.Errorf("%s: floorplan %s has %d dies, want %d", cfg.Name, fp.Name, fp.NumDies, want)
+		}
+		if _, err := Compute(cfg, s, fp); err != nil {
+			t.Errorf("%s: %v", cfg.Name, err)
+		}
+	}
+}
+
 func TestComputeRejectsEmptyStats(t *testing.T) {
 	if _, err := Compute(config.Baseline(), &cpu.Stats{}, floorplan.Planar()); err == nil {
 		t.Error("zero-cycle stats accepted")
@@ -173,19 +184,18 @@ func TestComputeRejectsEmptyStats(t *testing.T) {
 
 func TestDensityStudyMapPreservesTotal(t *testing.T) {
 	b := computeFor(t, config.Baseline(), "mpeg2enc")
-	m := DensityStudyMap(b, floorplan.Stacked())
+	sfp := floorplan.Stacked()
+	watts := DensityStudyMap(b, sfp)
 	var total float64
-	for _, w := range m {
-		total += w
+	perDie := [4]float64{}
+	for _, u := range sfp.Units {
+		total += watts(u)
+		perDie[u.Die] += watts(u)
 	}
 	if math.Abs(total-b.TotalW) > 1e-6*b.TotalW {
 		t.Errorf("density map total %.3f W != planar total %.3f W", total, b.TotalW)
 	}
 	// Every die must carry an equal quarter.
-	perDie := [4]float64{}
-	for k, w := range m {
-		perDie[k.Die] += w
-	}
 	for d := 1; d < 4; d++ {
 		if math.Abs(perDie[d]-perDie[0]) > 1e-9 {
 			t.Errorf("density map die %d power %.3f != die 0 %.3f", d, perDie[d], perDie[0])

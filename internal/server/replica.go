@@ -148,22 +148,39 @@ func (s *Server) handleReplicaAppend(w http.ResponseWriter, r *http.Request) {
 	httpjson.Write(w, http.StatusOK, map[string]any{"accepted": len(events)})
 }
 
-// handleReplicaAdopt replays origin's buffered replica records into the
-// live job table. The gateway calls it on the successor after the
-// takeover deadline (origin is dead) or as the second leg of migration
-// (origin is draining). Idempotent: re-adoption of already-known ids
-// changes nothing, so a retried takeover is safe.
+// handleReplicaAdopt replays replica records of origin into the live
+// job table. With an empty body it adopts everything buffered for
+// origin: the gateway calls it so on the successor after the takeover
+// deadline (origin is dead). A draining origin's migration instead
+// sends the held jobs' framed records as the body, and exactly those
+// are adopted: the buffer also holds the records of jobs still running
+// on origin, which must not run twice. Idempotent: re-adoption of
+// already-known ids changes nothing, so a retried takeover or
+// migration is safe.
 func (s *Server) handleReplicaAdopt(w http.ResponseWriter, r *http.Request) {
 	origin := r.PathValue("origin")
 	if origin == "" {
 		httpjson.Error(w, http.StatusBadRequest, "missing replica origin")
 		return
 	}
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 16<<20))
+	if err != nil {
+		httpjson.Error(w, http.StatusBadRequest, "reading adopt body: %v", err)
+		return
+	}
+	events, torn := journal.DecodeFrames(body)
+	if torn {
+		httpjson.Error(w, http.StatusBadRequest, "torn migration frame from %q", origin)
+		return
+	}
 	if s.draining.Load() {
 		httpjson.Error(w, http.StatusServiceUnavailable, "server is draining; cannot adopt jobs")
 		return
 	}
-	adopted, aliased, requeued := s.adoptOrigin(origin)
+	if len(body) == 0 {
+		events = s.replica.take(origin)
+	}
+	adopted, aliased, requeued := s.adoptOrigin(origin, events)
 	httpjson.Write(w, http.StatusOK, map[string]any{
 		"origin":   origin,
 		"adopted":  adopted,
@@ -172,7 +189,7 @@ func (s *Server) handleReplicaAdopt(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// adoptOrigin folds origin's replica stream into job records (the same
+// adoptOrigin folds origin's replica events into job records (the same
 // fold crash recovery uses, so the successor's view agrees with what
 // the dead peer would have recovered) and takes each one over under
 // the "<id>@<origin>" namespace: records whose Idempotency-Key already
@@ -182,8 +199,8 @@ func (s *Server) handleReplicaAdopt(w http.ResponseWriter, r *http.Request) {
 // the same accounting identity as recovery. Admission controls
 // (quotas, brownout) deliberately do not apply: these jobs were
 // admitted fleet-wide already.
-func (s *Server) adoptOrigin(origin string) (adopted, aliased, requeued int) {
-	for _, rec := range foldEvents(nil, s.replica.take(origin)) {
+func (s *Server) adoptOrigin(origin string, events []journal.Event) (adopted, aliased, requeued int) {
+	for _, rec := range foldEvents(nil, events) {
 		localID := rec.ID + "@" + origin
 		s.mu.Lock()
 		_, known := s.jobs[localID]
@@ -295,8 +312,8 @@ var migrateClient = &http.Client{Timeout: 5 * time.Second}
 // handleMigrate herds every still-queued job to the target node: each
 // is held with the settle-once claim (a worker, cancel or drain that
 // reaches it afterwards finds it no longer queued, while clients still
-// see it queued), their acceptance records are shipped to the target's
-// replica store and adopted there, and only then are they settled as
+// see it queued), their acceptance records are shipped to the target
+// and adopted there, and only then are they settled as
 // migrated here. If the handoff fails every held job is released back
 // to queued and runs locally — a failed migration degrades to a normal
 // drain, it never loses a job, and no client ever saw it migrated.
@@ -351,8 +368,7 @@ func (s *Server) handleMigrate(w http.ResponseWriter, r *http.Request) {
 }
 
 // shipMigration POSTs the frozen jobs' acceptance records to the
-// target's replica store, then triggers adoption — the two legs of a
-// drain-herding handoff.
+// target's adopt endpoint, which adopts exactly these records.
 func shipMigration(targetURL, origin string, events []journal.Event) error {
 	if origin == "" {
 		origin = "unnamed"
@@ -362,18 +378,8 @@ func shipMigration(targetURL, origin string, events []journal.Event) error {
 		return err
 	}
 	base := strings.TrimSuffix(targetURL, "/")
-	resp, err := migrateClient.Post(base+"/v1/replica/"+url.PathEscape(origin),
+	resp, err := migrateClient.Post(base+"/v1/replica/"+url.PathEscape(origin)+"/adopt",
 		"application/octet-stream", bytes.NewReader(frames))
-	if err != nil {
-		return err
-	}
-	io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("replica append: HTTP %d", resp.StatusCode)
-	}
-	resp, err = migrateClient.Post(base+"/v1/replica/"+url.PathEscape(origin)+"/adopt",
-		"application/json", nil)
 	if err != nil {
 		return err
 	}

@@ -152,6 +152,66 @@ func TestReplicaAdoptEndToEnd(t *testing.T) {
 	_ = sa
 }
 
+// TestAdoptBodyAdoptsOnlyShippedRecords: an adopt request carrying
+// framed records (a draining peer's migration) adopts exactly those,
+// even though the successor's replica buffer holds more of the peer's
+// records; an empty adopt request (a takeover) still adopts the whole
+// buffer. A torn body is refused.
+func TestAdoptBodyAdoptsOnlyShippedRecords(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 8, CacheSize: 8, NodeName: "b"})
+	stubExec(s, fastExec)
+	var spec Spec
+	json.Unmarshal([]byte(specBody(3)), &spec)
+	spec.normalize()
+	rawSpec, _ := json.Marshal(spec)
+	frame := func(id string) string {
+		frames, err := journal.EncodeFrames([]journal.Event{{Type: journal.EventAccepted, ID: id, Spec: rawSpec}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(frames)
+	}
+	adopt := func(body string) (int, map[string]any) {
+		resp, err := http.Post(ts.URL+"/v1/replica/a/adopt", "application/octet-stream", strings.NewReader(body))
+		if err != nil {
+			t.Fatalf("adopt: %v", err)
+		}
+		defer resp.Body.Close()
+		var doc map[string]any
+		json.NewDecoder(resp.Body).Decode(&doc)
+		return resp.StatusCode, doc
+	}
+
+	// The peer streamed two acceptances: job 1 is still running there,
+	// job 2 is the one it migrates.
+	presp, err := http.Post(ts.URL+"/v1/replica/a", "application/octet-stream",
+		strings.NewReader(frame("job-000001")+frame("job-000002")))
+	if err != nil {
+		t.Fatalf("replica append: %v", err)
+	}
+	presp.Body.Close()
+
+	if code, _ := adopt(frame("job-000003")[:10]); code != http.StatusBadRequest {
+		t.Fatalf("torn adopt body = HTTP %d, want 400", code)
+	}
+	if code, doc := adopt(frame("job-000002")); code != http.StatusOK || doc["adopted"].(float64) != 1 {
+		t.Fatalf("migration adopt = HTTP %d %v, want 200 with 1 adopted", code, doc)
+	}
+	waitState(t, ts, "job-000002@a", StateDone)
+	resp, err := http.Get(ts.URL + "/v1/jobs/job-000001@a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("job 1 after the migration adopt: HTTP %d, want 404 (only job 2 was shipped)", resp.StatusCode)
+	}
+	if code, doc := adopt(""); code != http.StatusOK || doc["adopted"].(float64) != 1 {
+		t.Fatalf("takeover adopt = HTTP %d %v, want 200 with 1 adopted (job 2 is known)", code, doc)
+	}
+	waitState(t, ts, "job-000001@a", StateDone)
+}
+
 // TestAdoptIdempotencyAlias: a replica record whose Idempotency-Key
 // the successor has already seen gains an alias instead of a second
 // registration — the dedup that keeps adopted work from

@@ -54,11 +54,16 @@ func overlap(a0, a1, b0, b1 float64) float64 {
 	return 0
 }
 
-// BuildPlanar constructs the thermal stack for the planar floorplan:
-// spreader, TIM, one silicon die carrying the power map.
-func BuildPlanar(fp *floorplan.Floorplan, watts PowerFor, nx, ny int) (*Stack, error) {
-	if fp.NumDies != 1 {
-		return nil, fmt.Errorf("thermal: BuildPlanar wants a 1-die floorplan, got %d", fp.NumDies)
+// Build constructs the thermal stack for a floorplan of any die count:
+// spreader, TIM, then for each die a silicon layer carrying its power
+// map, separated by die-to-die via-field interface layers. Die 0 is the
+// top die, adjacent to the heat sink through the TIM, and keeps its
+// bulk thickness; the dies below it are thinned, exactly as the Thermal
+// Herding organization assumes. A planar floorplan's single die layer
+// is named "die", a stack's are "die0", "die1", ….
+func Build(fp *floorplan.Floorplan, watts PowerFor, nx, ny int) (*Stack, error) {
+	if fp.NumDies < 1 {
+		return nil, fmt.Errorf("thermal: floorplan %s has %d dies", fp.Name, fp.NumDies)
 	}
 	s := &Stack{
 		Nx: nx, Ny: ny,
@@ -67,64 +72,45 @@ func BuildPlanar(fp *floorplan.Floorplan, watts PowerFor, nx, ny int) (*Stack, e
 		SinkR:   SinkRTotal,
 		Ambient: AmbientK,
 	}
-	s.Layers = []Layer{
-		{Name: "spreader", Thickness: SpreaderThickness, K: KCopper},
-		{Name: "tim", Thickness: TIMThickness, K: KTIM},
-		{Name: "die", Thickness: BulkDieThickness, K: KSilicon, Power: rasterize(fp, 0, watts, nx, ny)},
-	}
-	return s, nil
-}
-
-// BuildStacked constructs the thermal stack for the 4-die 3D floorplan:
-// spreader, TIM, then for each die a silicon layer carrying its power
-// map, separated by die-to-die via-field interface layers. Die 0 is the
-// top die, adjacent to the heat sink through the TIM, exactly as the
-// Thermal Herding organization assumes.
-func BuildStacked(fp *floorplan.Floorplan, watts PowerFor, nx, ny int) (*Stack, error) {
-	if fp.NumDies != 4 {
-		return nil, fmt.Errorf("thermal: BuildStacked wants a 4-die floorplan, got %d", fp.NumDies)
-	}
-	s := &Stack{
-		Nx: nx, Ny: ny,
-		CellW:   fp.ChipW / float64(nx) * 1e-3,
-		CellH:   fp.ChipH / float64(ny) * 1e-3,
-		SinkR:   SinkRTotal,
-		Ambient: AmbientK,
-	}
 	s.Layers = append(s.Layers,
 		Layer{Name: "spreader", Thickness: SpreaderThickness, K: KCopper},
 		Layer{Name: "tim", Thickness: TIMThickness, K: KTIM},
 	)
-	for d := 0; d < 4; d++ {
-		thickness := ThinDieThickness
-		if d == 0 {
-			thickness = BulkDieThickness // the top die keeps its bulk
+	for d := 0; d < fp.NumDies; d++ {
+		name, thickness := fmt.Sprintf("die%d", d), BulkDieThickness
+		if fp.NumDies == 1 {
+			name = "die"
 		}
-		s.Layers = append(s.Layers, Layer{
-			Name:      fmt.Sprintf("die%d", d),
-			Thickness: thickness,
-			K:         KSilicon,
-			Power:     rasterize(fp, d, watts, nx, ny),
-		})
-		if d < 3 {
-			s.Layers = append(s.Layers, Layer{
-				Name:      fmt.Sprintf("d2d%d", d),
-				Thickness: D2DThickness,
-				K:         KD2D,
-			})
+		if d > 0 {
+			thickness = ThinDieThickness
+			s.Layers = append(s.Layers, Layer{Name: fmt.Sprintf("d2d%d", d-1), Thickness: D2DThickness, K: KD2D})
 		}
+		s.Layers = append(s.Layers, Layer{Name: name, Thickness: thickness, K: KSilicon, Power: rasterize(fp, d, watts, nx, ny)})
 	}
 	return s, nil
 }
 
-// DieLayerIndex returns the layer index of die d in a stack built by
-// BuildStacked (or of the single die for BuildPlanar when d == 0).
-func DieLayerIndex(d int) int {
-	if d == 0 {
-		return 2
+// BuildPlanar is Build for the 1-die planar floorplan; any other die
+// count is an error.
+func BuildPlanar(fp *floorplan.Floorplan, watts PowerFor, nx, ny int) (*Stack, error) {
+	if fp.NumDies != 1 {
+		return nil, fmt.Errorf("thermal: BuildPlanar wants a 1-die floorplan, got %d", fp.NumDies)
 	}
-	return 2 + 2*d
+	return Build(fp, watts, nx, ny)
 }
+
+// BuildStacked is Build for the 4-die 3D floorplan; any other die
+// count is an error.
+func BuildStacked(fp *floorplan.Floorplan, watts PowerFor, nx, ny int) (*Stack, error) {
+	if fp.NumDies != 4 {
+		return nil, fmt.Errorf("thermal: BuildStacked wants a 4-die floorplan, got %d", fp.NumDies)
+	}
+	return Build(fp, watts, nx, ny)
+}
+
+// DieLayerIndex returns the layer index of die d in a stack built by
+// Build.
+func DieLayerIndex(d int) int { return 2 + 2*d }
 
 // HottestUnit locates the floorplan unit containing the solution's peak
 // cell, attributing the hotspot to a microarchitectural block as the

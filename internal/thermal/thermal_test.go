@@ -261,6 +261,48 @@ func TestBuilderRejectsWrongFloorplan(t *testing.T) {
 	}
 }
 
+// TestBuildLayerLayout pins the layer names, order and thicknesses
+// Build gives the planar and the stacked floorplan, and that it
+// rejects a floorplan without dies.
+func TestBuildLayerLayout(t *testing.T) {
+	zero := func(floorplan.Unit) float64 { return 0 }
+	for _, c := range []struct {
+		fp    *floorplan.Floorplan
+		names string
+		thick []float64
+	}{
+		{floorplan.Planar(), "spreader tim die", []float64{SpreaderThickness, TIMThickness, BulkDieThickness}},
+		{floorplan.Stacked(), "spreader tim die0 d2d0 die1 d2d1 die2 d2d2 die3", []float64{
+			SpreaderThickness, TIMThickness, BulkDieThickness, D2DThickness, ThinDieThickness,
+			D2DThickness, ThinDieThickness, D2DThickness, ThinDieThickness}},
+	} {
+		s, err := Build(c.fp, zero, 4, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		for i, l := range s.Layers {
+			names = append(names, l.Name)
+			if l.Thickness != c.thick[i] {
+				t.Errorf("%s layer %s: thickness %g, want %g", c.fp.Name, l.Name, l.Thickness, c.thick[i])
+			}
+		}
+		if got := strings.Join(names, " "); got != c.names {
+			t.Errorf("%s layers %q, want %q", c.fp.Name, got, c.names)
+		}
+		for d := 0; d < c.fp.NumDies; d++ {
+			if got := LayerDie(s, DieLayerIndex(d)); got != d {
+				t.Errorf("%s: LayerDie(DieLayerIndex(%d)) = %d", c.fp.Name, d, got)
+			}
+		}
+	}
+	empty := floorplan.Planar()
+	empty.NumDies = 0
+	if _, err := Build(empty, zero, 4, 4); err == nil {
+		t.Error("Build accepted a floorplan with no dies")
+	}
+}
+
 func TestRasterizePreservesPower(t *testing.T) {
 	fp := floorplan.Stacked()
 	s, err := BuildStacked(fp, uniformWatts(fp, 72), 32, 32)
