@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"net/http"
 	"strings"
-	"sync/atomic"
 
 	"thermalherd/internal/httpjson"
 	"thermalherd/internal/server"
@@ -20,7 +19,7 @@ import (
 //	POST   /v1/admin/nodes/{name}/drain pin a backend draining
 //	DELETE /v1/admin/nodes/{name}       remove an idle backend
 //
-// Every mutation happens atomically under the topology write lock and
+// Every mutation happens atomically under the gateway's table lock and
 // bumps the epoch counter, so a request routed before the change sees
 // the old ring end-to-end and one routed after sees the new one —
 // never a half-applied rehash. The drain → settle → delete workflow is
@@ -72,15 +71,6 @@ func (g *Gateway) requireAdmin(next http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// activeBackend resolves a name against the live set only (no
-// tombstones): admin operations act on current members.
-func (g *Gateway) activeBackend(name string) (Backend, bool) {
-	g.topo.RLock()
-	defer g.topo.RUnlock()
-	b, ok := g.byName[name]
-	return b, ok
-}
-
 // handleAdminAddNode adds a backend to the ring without a restart. The
 // node enters membership as NodeJoining — it takes no traffic until a
 // probe confirms it healthy — and an immediate probe is kicked off so
@@ -100,24 +90,13 @@ func (g *Gateway) handleAdminAddNode(w http.ResponseWriter, r *http.Request) {
 		httpjson.Error(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	g.topo.Lock()
-	if _, dup := g.byName[b.Name]; dup {
-		g.topo.Unlock()
-		httpjson.Error(w, http.StatusConflict, "backend %q already exists", b.Name)
+	epoch, err := g.join(b, NodeJoining)
+	if err != nil {
+		httpjson.Error(w, http.StatusConflict, "%v", err)
 		return
 	}
-	// A re-added name sheds its tombstone: the node is live again.
-	delete(g.removed, b.Name)
-	g.byName[b.Name] = b
-	g.inflight[b.Name] = &atomic.Int64{}
-	g.ring.Add(b.Name)
-	g.recomputeLastLocked()
-	epoch := g.epoch.Add(1)
-	g.topo.Unlock()
-	g.breaker.add(b.Name)
-	g.members.addMember(b, NodeJoining)
 	g.metrics.nodesAdded.Add(1)
-	g.members.suspect(b.Name) // async: probe the joiner to healthy now
+	g.suspect(b.Name) // async: probe the joiner to healthy now
 	httpjson.Write(w, http.StatusCreated, map[string]any{
 		"epoch": epoch,
 		"node":  adminNodeDoc{NodeHealth: NodeHealth{Name: b.Name, URL: b.URL, State: NodeJoining}},
@@ -127,12 +106,7 @@ func (g *Gateway) handleAdminAddNode(w http.ResponseWriter, r *http.Request) {
 // handleAdminListNodes reports the topology: epoch plus every node's
 // membership health, breaker position, and in-flight submit count.
 func (g *Gateway) handleAdminListNodes(w http.ResponseWriter, r *http.Request) {
-	snap := g.Backends()
-	doc := adminTopologyDoc{Epoch: g.epoch.Load(), Nodes: make([]adminNodeDoc, 0, len(snap))}
-	for _, h := range snap {
-		doc.Nodes = append(doc.Nodes, adminNodeDoc{NodeHealth: h, Inflight: g.inflightOf(h.Name).Load()})
-	}
-	httpjson.Write(w, http.StatusOK, doc)
+	httpjson.Write(w, http.StatusOK, adminTopologyDoc{Epoch: g.epoch.Load(), Nodes: g.snapshot()})
 }
 
 // handleAdminDrainNode pins a backend into NodeDraining: new submits
@@ -145,11 +119,8 @@ func (g *Gateway) handleAdminListNodes(w http.ResponseWriter, r *http.Request) {
 // its running jobs finish, not after its whole queue does.
 func (g *Gateway) handleAdminDrainNode(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	if _, ok := g.activeBackend(name); !ok {
-		httpjson.Error(w, http.StatusNotFound, "no backend named %q", name)
-		return
-	}
-	if !g.members.pinDrain(name) {
+	inflight, ok := g.pinDrain(name)
+	if !ok {
 		httpjson.Error(w, http.StatusNotFound, "no backend named %q", name)
 		return
 	}
@@ -157,7 +128,7 @@ func (g *Gateway) handleAdminDrainNode(w http.ResponseWriter, r *http.Request) {
 	doc := map[string]any{
 		"epoch":    g.epoch.Load(),
 		"draining": name,
-		"inflight": g.inflightOf(name).Load(),
+		"inflight": inflight,
 	}
 	if g.cfg.TakeoverAfter > 0 {
 		mctx, cancel := context.WithTimeout(r.Context(), takeoverTimeout)
@@ -190,7 +161,7 @@ func (g *Gateway) handleAdminRemoveNode(w http.ResponseWriter, r *http.Request) 
 		return
 	}
 	force := r.URL.Query().Get("force") == "1"
-	if n := g.inflightOf(name).Load(); n > 0 && !force {
+	if n := g.inflightOf(name); n > 0 && !force {
 		httpjson.Error(w, http.StatusConflict,
 			"backend %q has %d submits in flight (drain and wait, or force=1)", name, n)
 		return
@@ -211,25 +182,15 @@ func (g *Gateway) handleAdminRemoveNode(w http.ResponseWriter, r *http.Request) 
 	}
 	var adoptedBy string
 	if force && g.cfg.TakeoverAfter > 0 {
-		g.topo.RLock()
-		succ := g.ring.SuccessorOf(name)
-		g.topo.RUnlock()
-		if sb, ok := g.activeBackend(succ); ok && succ != "" {
+		if sb, ok := g.successor(name); ok {
 			actx, cancel := context.WithTimeout(r.Context(), takeoverTimeout)
 			defer cancel()
 			if err := g.postAdopt(actx, sb, name); err == nil {
-				adoptedBy = succ
+				adoptedBy = sb.Name
 			}
 		}
 	}
-	g.topo.Lock()
-	if adoptedBy != "" {
-		g.aliases[name] = adoptedBy
-	}
-	epoch := g.ejectLocked(name)
-	g.topo.Unlock()
-	g.members.removeMember(name)
-	g.breaker.remove(name)
+	epoch := g.leave(name, adoptedBy)
 	g.metrics.nodesRemoved.Add(1)
 	doc := map[string]any{"epoch": epoch, "removed": name}
 	if adoptedBy != "" {

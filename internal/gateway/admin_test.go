@@ -94,9 +94,9 @@ func TestGatewayAdminAddNode(t *testing.T) {
 
 	// The joiner is live, so the kicked-off probe promotes it shortly.
 	deadline := time.Now().Add(5 * time.Second)
-	for g.members.state("n3") != NodeHealthy {
+	for g.stateOf("n3") != NodeHealthy {
 		if time.Now().After(deadline) {
-			t.Fatalf("joiner never reached healthy (state %s)", g.members.state("n3"))
+			t.Fatalf("joiner never reached healthy (state %s)", g.stateOf("n3"))
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -167,11 +167,11 @@ func TestGatewayAdminDrainRemoveLifecycle(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("drain: HTTP %d: %s", resp.StatusCode, raw)
 	}
-	if got := g.members.state("n1"); got != NodeDraining {
+	if got := g.stateOf("n1"); got != NodeDraining {
 		t.Fatalf("state after drain = %s, want draining", got)
 	}
 	g.ProbeNow() // the healthy backend cannot unpin itself
-	if got := g.members.state("n1"); got != NodeDraining {
+	if got := g.stateOf("n1"); got != NodeDraining {
 		t.Fatalf("state after post-drain probe = %s, want still draining", got)
 	}
 

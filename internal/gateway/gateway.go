@@ -1,7 +1,6 @@
 package gateway
 
 import (
-	"context"
 	"fmt"
 	"net/http"
 	"strings"
@@ -117,47 +116,35 @@ type Config struct {
 // Close.
 type Gateway struct {
 	cfg     Config
-	members *membership
 	mux     *http.ServeMux
 	hc      *http.Client
 	metrics *gwMetrics
 	warm    *warmSet
-	breaker *breaker
 	hedger  *hedger
 	budget  *retryBudget
 
 	// epoch counts topology generations: 1 after the initial build,
-	// bumped on every admin add/remove. Routing decisions inside one
-	// request all read the same generation because they take topo once.
+	// bumped on every node that joins or leaves the ring.
 	epoch atomic.Uint64
 
-	// topo guards the mutable topology below: the ring, the name
-	// tables, and the per-backend in-flight counters. Request paths
-	// take it shared; only the admin API takes it exclusive.
-	topo sync.RWMutex
+	// mu guards the ring, the node table and every field of every node
+	// record. A routing decision reads one consistent generation because
+	// it takes mu once.
+	mu   sync.Mutex
 	ring *Ring
-	// byName maps active backends; removed holds tombstones for nodes
-	// deleted via the admin API, so <id>@<node> reads minted before the
-	// removal still route while the process lives.
-	byName  map[string]Backend
-	removed map[string]Backend
-	// inflight tracks per-backend submits in flight; the
-	// power-of-two-choices spill reads it to pick the less-loaded of
-	// two candidates.
-	inflight map[string]*atomic.Int64
+	// nodes holds one record per name the gateway has known: the ring's
+	// members and, marked removed, the tombstones of those that left.
+	nodes map[string]*node
 	// lastNode caches the lexically-last ring node: the deterministic
 	// FaultStraggler target, recomputed on topology change.
 	lastNode string
-	// aliases routes a taken-over node's job ids: aliases[dead] names
-	// the successor now serving <id>@<dead> (under its local id
-	// "<id>@<dead>"). Chains form when a successor itself dies before
-	// the aliased ids age out. Guarded by topo.
-	aliases map[string]string
 
-	// takeover single-flight state: one adoption per dead node, run on
-	// a goroutine the gateway Close waits out.
-	takeoverMu sync.Mutex
-	takingOver map[string]bool
+	// The prober's lifetime: Start launches run, Close stops it and
+	// waits out any in-flight takeover adoptions.
+	started    atomic.Bool
+	stop       chan struct{}
+	stopOnce   sync.Once
+	done       chan struct{}
 	takeoverWG sync.WaitGroup
 }
 
@@ -169,56 +156,47 @@ func New(cfg Config) (*Gateway, error) {
 	if cfg.ScatterTimeout <= 0 {
 		cfg.ScatterTimeout = 2 * time.Second
 	}
+	if cfg.ProbeInterval <= 0 {
+		cfg.ProbeInterval = time.Second
+	}
+	if cfg.ProbeTimeout <= 0 {
+		cfg.ProbeTimeout = 500 * time.Millisecond
+	}
+	if cfg.FailThreshold <= 0 {
+		cfg.FailThreshold = 3
+	}
+	if cfg.BreakerCooldown <= 0 {
+		cfg.BreakerCooldown = 5 * time.Second
+	}
 	if cfg.Clock == nil {
 		cfg.Clock = clock.Real()
 	}
 	g := &Gateway{
-		cfg:        cfg,
-		ring:       NewRing(DefaultVNodes),
-		mux:        http.NewServeMux(),
-		hc:         &http.Client{},
-		metrics:    &gwMetrics{},
-		warm:       newWarmSet(8192),
-		hedger:     newHedger(),
-		budget:     newRetryBudget(cfg.RetryBudgetRatio, cfg.RetryBudgetBurst),
-		inflight:   make(map[string]*atomic.Int64, len(cfg.Backends)),
-		byName:     make(map[string]Backend, len(cfg.Backends)),
-		removed:    make(map[string]Backend),
-		aliases:    make(map[string]string),
-		takingOver: make(map[string]bool),
+		cfg:     cfg,
+		ring:    NewRing(DefaultVNodes),
+		nodes:   make(map[string]*node, len(cfg.Backends)),
+		mux:     http.NewServeMux(),
+		hc:      &http.Client{},
+		metrics: &gwMetrics{},
+		warm:    newWarmSet(8192),
+		hedger:  newHedger(),
+		budget:  newRetryBudget(cfg.RetryBudgetRatio, cfg.RetryBudgetBurst),
+		stop:    make(chan struct{}),
+		done:    make(chan struct{}),
 	}
-	g.breaker = newBreaker(cfg.Clock, cfg.Faults, breakerThreshold, cfg.BreakerCooldown)
-	g.breaker.onOpen = func() { g.metrics.breakerOpens.Add(1) }
 	for _, b := range cfg.Backends {
 		b.URL = strings.TrimRight(b.URL, "/")
 		if err := validateBackend(b); err != nil {
 			return nil, err
 		}
-		if _, dup := g.byName[b.Name]; dup {
+		// Optimistic boot: a backend starts healthy so the first requests
+		// need not wait out a probe cycle; a dead one is ejected within
+		// FailThreshold probes (and suspected at once on a failed forward).
+		if _, err := g.join(b, NodeHealthy); err != nil {
 			return nil, fmt.Errorf("gateway: duplicate backend name %q", b.Name)
 		}
-		g.byName[b.Name] = b
-		g.ring.Add(b.Name)
-		g.inflight[b.Name] = &atomic.Int64{}
-		g.breaker.add(b.Name)
 	}
-	g.recomputeLastLocked()
 	g.epoch.Store(1)
-	g.members = newMembership(cfg.Backends, cfg.Clock, cfg.Faults,
-		cfg.ProbeInterval, cfg.ProbeTimeout, cfg.FailThreshold)
-	g.members.probes = func() { g.metrics.probes.Add(1) }
-	g.members.probeFailures = func() { g.metrics.probeFailures.Add(1) }
-	g.members.onProbe = func(name string, ok bool) {
-		if ok {
-			// Probes close the circuit only outside a half-open trial:
-			// the trial slot's single-flight guarantee belongs to the one
-			// forwarded request that consumed it.
-			g.breaker.probeSuccess(name)
-		} else {
-			g.breaker.failure(name)
-			g.maybeTakeover(name)
-		}
-	}
 	g.routes()
 	return g, nil
 }
@@ -235,9 +213,54 @@ func validateBackend(b Backend) error {
 	return nil
 }
 
+// join adds a backend to the ring in the given membership state and
+// returns the new epoch. A name already in the ring is refused, and so
+// is the name of a node taken over by a successor: the successor
+// serves its old ids, and a new node under the name would mint the
+// same ids (job-000001@<name> first) and never see reads for them. A
+// plainly removed name sheds its tombstone and comes back fresh — no
+// drain pin, a closed circuit.
+func (g *Gateway) join(b Backend, state NodeState) (uint64, error) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if n, ok := g.nodes[b.Name]; ok && !n.removed {
+		return 0, fmt.Errorf("backend %q already exists", b.Name)
+	} else if ok && n.adoptedBy != "" {
+		return 0, fmt.Errorf("backend %q was taken over by %q, which still serves its job ids; add the node under a new name", b.Name, n.adoptedBy)
+	}
+	g.nodes[b.Name] = &node{backend: b, state: state, since: g.cfg.Clock.Now(), circuit: breakerClosed}
+	g.ring.Add(b.Name)
+	g.recomputeLastLocked()
+	return g.epoch.Add(1), nil
+}
+
+// leave takes a node out of the ring and keeps its record as a
+// tombstone, so <id>@<name> reads minted before still route while the
+// process lives — or, when adoptedBy names the successor that adopted
+// its journal, to that successor. It returns the new epoch. The admin
+// DELETE and takeover share it, so a node leaves the same way whoever
+// evicted it; an adoption is recorded even on a node already removed.
+func (g *Gateway) leave(name, adoptedBy string) uint64 {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	n, ok := g.nodes[name]
+	if !ok {
+		return g.epoch.Load()
+	}
+	if adoptedBy != "" {
+		n.adoptedBy = adoptedBy
+	}
+	if n.removed {
+		return g.epoch.Load()
+	}
+	n.removed = true
+	g.ring.Remove(name)
+	g.recomputeLastLocked()
+	return g.epoch.Add(1)
+}
+
 // recomputeLastLocked refreshes the cached straggler-fault target (the
-// lexically-last ring node); callers hold topo exclusively or are
-// still inside New.
+// lexically-last ring node); callers hold mu.
 func (g *Gateway) recomputeLastLocked() {
 	nodes := g.ring.Nodes()
 	g.lastNode = ""
@@ -249,68 +272,90 @@ func (g *Gateway) recomputeLastLocked() {
 // Epoch returns the current topology generation.
 func (g *Gateway) Epoch() uint64 { return g.epoch.Load() }
 
-// lookupBackend resolves a node name to its backend, consulting the
-// tombstones so reads routed by an old <id>@<node> still work after an
+// lookupBackend resolves a node name to its backend, tombstones
+// included, so reads routed by an old <id>@<node> still work after an
 // admin removal.
-func (g *Gateway) lookupBackend(node string) (Backend, bool) {
-	g.topo.RLock()
-	defer g.topo.RUnlock()
-	if b, ok := g.byName[node]; ok {
-		return b, true
+func (g *Gateway) lookupBackend(name string) (Backend, bool) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	n, ok := g.nodes[name]
+	if !ok {
+		return Backend{}, false
 	}
-	b, ok := g.removed[node]
-	return b, ok
+	return n.backend, true
+}
+
+// activeBackend resolves a name against the ring's members only (no
+// tombstones): admin operations act on current members.
+func (g *Gateway) activeBackend(name string) (Backend, bool) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	n, ok := g.nodes[name]
+	if !ok || n.removed {
+		return Backend{}, false
+	}
+	return n.backend, true
+}
+
+// successor returns the ring successor of a node: the peer that holds
+// its replica journal, and so the one to adopt or receive its jobs.
+// There is none for a node alone on the ring.
+func (g *Gateway) successor(name string) (Backend, bool) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	n, ok := g.nodes[g.ring.SuccessorOf(name)]
+	if !ok {
+		return Backend{}, false
+	}
+	return n.backend, true
+}
+
+// inflightOf returns the node's in-flight submits; 0 for a name that is
+// not in the ring.
+func (g *Gateway) inflightOf(name string) int64 {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if n, ok := g.nodes[name]; ok && !n.removed {
+		return n.inflight
+	}
+	return 0
 }
 
 // ringNodes snapshots the active ring membership.
 func (g *Gateway) ringNodes() []string {
-	g.topo.RLock()
-	defer g.topo.RUnlock()
+	g.mu.Lock()
+	defer g.mu.Unlock()
 	return g.ring.Nodes()
 }
 
-// inflightOf returns the node's in-flight submit counter; a node
-// removed mid-request gets a throwaway so callers never nil-deref.
-func (g *Gateway) inflightOf(node string) *atomic.Int64 {
-	g.topo.RLock()
-	cnt, ok := g.inflight[node]
-	g.topo.RUnlock()
-	if !ok {
-		return &atomic.Int64{}
-	}
-	return cnt
-}
-
-// stragglerTarget reports the deterministic FaultStraggler victim.
-func (g *Gateway) stragglerTarget() string {
-	g.topo.RLock()
-	defer g.topo.RUnlock()
-	return g.lastNode
-}
-
 // Start launches the membership probe loop.
-func (g *Gateway) Start() { go g.members.run() }
+func (g *Gateway) Start() {
+	g.started.Store(true)
+	go g.run()
+}
 
 // Close stops the membership probe loop and waits out any in-flight
-// takeover adoptions.
+// takeover adoptions. A gateway that was never started has no loop to
+// wait for.
 func (g *Gateway) Close() {
-	g.members.close()
+	g.stopOnce.Do(func() { close(g.stop) })
+	if g.started.Load() {
+		//thermlint:blocking -- done is closed unconditionally when run exits; the wait is bounded by one probe round
+		<-g.done
+	}
 	//thermlint:blocking -- each takeover goroutine is bounded by takeoverTimeout HTTP deadlines
 	g.takeoverWG.Wait()
 }
 
-// ProbeNow runs one synchronous probe round; tests use it to advance
-// membership without waiting out the probe interval.
-func (g *Gateway) ProbeNow() { g.members.ProbeAll(context.Background()) }
-
-// Backends returns the configured node health snapshot, annotated
-// with each node's circuit-breaker position.
+// Backends returns every active node's health snapshot, circuit
+// position included.
 func (g *Gateway) Backends() []NodeHealth {
-	snap := g.members.snapshot()
-	for i := range snap {
-		snap[i].Breaker = string(g.breaker.stateOf(snap[i].Name))
+	docs := g.snapshot()
+	out := make([]NodeHealth, len(docs))
+	for i, d := range docs {
+		out[i] = d.NodeHealth
 	}
-	return snap
+	return out
 }
 
 // ServeHTTP implements http.Handler.
@@ -395,27 +440,27 @@ type routePlan struct {
 // skipped the same way an ejected one is — the breaker trips on
 // forward failures faster than probes re-classify.
 func (g *Gateway) planRoute(hash string) (routePlan, error) {
-	g.topo.RLock()
-	defer g.topo.RUnlock()
+	g.mu.Lock()
+	defer g.mu.Unlock()
 	succ := g.ring.Successors(hash, g.ring.Len())
 	if len(succ) == 0 {
 		return routePlan{}, fmt.Errorf("gateway: hash ring is empty")
 	}
+	now := g.cfg.Clock.Now()
 	var routable []string
-	for _, n := range succ {
-		if g.members.state(n).routable() && g.breaker.available(n) {
-			routable = append(routable, n)
+	for _, name := range succ {
+		if n := g.nodes[name]; n.state.routable() && n.available(now, g.cfg.BreakerCooldown) {
+			routable = append(routable, name)
 		}
 	}
 	if len(routable) == 0 {
 		return routePlan{}, fmt.Errorf("gateway: no routable backends (%d configured, all ejected)", len(succ))
 	}
 	home := succ[0]
-	homeState := g.members.state(home)
+	homeState := g.nodes[home].state
 	if !homeState.routable() {
 		// Prefer healthy failover targets over browning-out ones.
-		order := append(filterByState(g.members, routable, NodeHealthy),
-			filterByState(g.members, routable, NodeBrownout)...)
+		order := append(g.filterLocked(routable, NodeHealthy), g.filterLocked(routable, NodeBrownout)...)
 		return routePlan{order: order, failedOver: true}, nil
 	}
 	if homeState == NodeHealthy || g.warm.has(hash) {
@@ -424,14 +469,14 @@ func (g *Gateway) planRoute(hash string) (routePlan, error) {
 	// Home is browning out and the spec is cold: spill. Power of two
 	// choices over the healthy successors; the home node stays in the
 	// order as the last resort.
-	healthy := filterByState(g.members, routable, NodeHealthy)
+	healthy := g.filterLocked(routable, NodeHealthy)
 	if len(healthy) == 0 {
 		return routePlan{order: moveToFront(routable, home)}, nil
 	}
 	pick := healthy[0]
 	if len(healthy) >= 2 {
 		a, b := healthy[0], healthy[1]
-		if g.inflight[b].Load() < g.inflight[a].Load() {
+		if g.nodes[b].inflight < g.nodes[a].inflight {
 			pick = b
 		}
 	}
@@ -439,11 +484,13 @@ func (g *Gateway) planRoute(hash string) (routePlan, error) {
 	return routePlan{order: order, spilled: true}, nil
 }
 
-func filterByState(m *membership, nodes []string, want NodeState) []string {
+// filterLocked keeps the ring nodes in the wanted state; callers hold
+// mu.
+func (g *Gateway) filterLocked(names []string, want NodeState) []string {
 	var out []string
-	for _, n := range nodes {
-		if m.state(n) == want {
-			out = append(out, n)
+	for _, name := range names {
+		if g.nodes[name].state == want {
+			out = append(out, name)
 		}
 	}
 	return out

@@ -459,7 +459,7 @@ func TestGatewayFailover(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		g.ProbeNow()
 	}
-	if got := g.members.state(victim.name); got != NodeDown {
+	if got := g.stateOf(victim.name); got != NodeDown {
 		t.Fatalf("victim state after probes = %s, want down", got)
 	}
 	before := g.metrics.failovers.Load()
@@ -508,7 +508,7 @@ func TestGatewaySpillOnBrownout(t *testing.T) {
 	hash := quickSpecHash(t, workload)
 	fakes[1].set(false, "brownout", "")
 	g.ProbeNow()
-	if got := g.members.state("n1"); got != NodeBrownout {
+	if got := g.stateOf("n1"); got != NodeBrownout {
 		t.Fatalf("home state = %s, want brownout", got)
 	}
 

@@ -7,11 +7,7 @@ import (
 	"net/http"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
-
-	"thermalherd/internal/clock"
-	"thermalherd/internal/faultinject"
 )
 
 // NodeState is the gateway's view of one backend, derived from its
@@ -72,13 +68,20 @@ type NodeHealth struct {
 	// LastError is the most recent probe failure, empty when healthy.
 	LastError string `json:"last_error,omitempty"`
 	// Breaker is the node's circuit-breaker position (closed / open /
-	// half-open), filled in by the gateway when it renders a snapshot.
+	// half-open).
 	Breaker string `json:"breaker,omitempty"`
 }
 
-// memberInfo is the mutable per-node record behind NodeHealth.
-type memberInfo struct {
-	backend     Backend
+// node is everything the gateway knows about one backend: its
+// membership state, its circuit, its in-flight submits and, once it has
+// left the ring, its tombstone. Every field is guarded by Gateway.mu;
+// the methods below are called with it held.
+type node struct {
+	// backend never changes once the record is in the table, so it may
+	// be read without the lock.
+	backend Backend
+
+	// Membership: the state machine's classification and its inputs.
 	state       NodeState
 	since       time.Time
 	consecFails int
@@ -92,6 +95,44 @@ type memberInfo struct {
 	// suspectUntil bars the node from re-entering rotation before the
 	// flap cooldown has elapsed.
 	suspectUntil time.Time
+	// probing marks a suspect probe in flight: a forward that fails
+	// meanwhile starts no second one.
+	probing bool
+
+	// The circuit (breaker.go).
+	circuit      breakerState
+	circuitFails int
+	openedAt     time.Time
+	// trialInFlight marks the single half-open probe slot as taken.
+	trialInFlight bool
+
+	// inflight counts submits in flight to the node; the
+	// power-of-two-choices spill and the admin remove check read it.
+	inflight int64
+
+	// removed marks a tombstone: the node left the ring, but reads of
+	// <id>@<node> ids minted before still route by its name — to the
+	// node itself, or to adoptedBy once a successor adopted its journal.
+	removed   bool
+	adoptedBy string
+	// takingOver is the takeover single-flight flag.
+	takingOver bool
+}
+
+// health renders the record's row of a health snapshot.
+func (n *node) health() NodeHealth {
+	h := NodeHealth{
+		Name:                n.backend.Name,
+		URL:                 n.backend.URL,
+		State:               n.state,
+		ConsecutiveFailures: n.consecFails,
+		LastError:           n.lastErr,
+		Breaker:             string(n.circuit),
+	}
+	if !n.since.IsZero() {
+		h.Since = n.since.Format(time.RFC3339Nano)
+	}
+	return h
 }
 
 // Flap damping: flapFlips routability transitions within flapWindow
@@ -102,138 +143,6 @@ const (
 	flapCooldown = 5 * time.Second
 )
 
-// membership polls each backend's /readyz on a fixed interval and
-// classifies it through the state machine above. Probes run through
-// the clock seam and the fault-injection registry, so the chaos suite
-// drives slow probes, dead backends, and split-brain views
-// deterministically.
-type membership struct {
-	clk       clock.Clock
-	hc        *http.Client
-	faults    *faultinject.Registry
-	interval  time.Duration
-	timeout   time.Duration
-	threshold int
-
-	mu   sync.Mutex
-	info map[string]*memberInfo
-
-	started  atomic.Bool
-	stop     chan struct{}
-	stopOnce sync.Once
-	done     chan struct{}
-
-	probes        counterFunc
-	probeFailures counterFunc
-	// onProbe reports each probe's outcome (reached the backend or
-	// not) so the gateway can feed its circuit breakers.
-	onProbe func(name string, ok bool)
-}
-
-// counterFunc lets membership report probe counts into the gateway's
-// metrics without a dependency cycle.
-type counterFunc func()
-
-func newMembership(backends []Backend, clk clock.Clock, faults *faultinject.Registry,
-	interval, timeout time.Duration, threshold int) *membership {
-	if interval <= 0 {
-		interval = time.Second
-	}
-	if timeout <= 0 {
-		timeout = 500 * time.Millisecond
-	}
-	if threshold <= 0 {
-		threshold = 3
-	}
-	m := &membership{
-		clk:           clk,
-		hc:            &http.Client{},
-		faults:        faults,
-		interval:      interval,
-		timeout:       timeout,
-		threshold:     threshold,
-		info:          make(map[string]*memberInfo, len(backends)),
-		stop:          make(chan struct{}),
-		done:          make(chan struct{}),
-		probes:        func() {},
-		probeFailures: func() {},
-		onProbe:       func(string, bool) {},
-	}
-	for _, b := range backends {
-		// Optimistic boot: a backend starts healthy so the first requests
-		// need not wait out a probe cycle; a dead one is ejected within
-		// threshold probes (and suspected immediately on a failed forward).
-		m.info[b.Name] = &memberInfo{backend: b, state: NodeHealthy, since: clk.Now()}
-	}
-	return m
-}
-
-// run is the probe loop; Gateway.Start launches it and Close stops it.
-func (m *membership) run() {
-	m.started.Store(true)
-	defer close(m.done)
-	for {
-		select {
-		case <-m.stop:
-			return
-		case <-m.clk.After(m.interval):
-			m.ProbeAll(context.Background())
-		}
-	}
-}
-
-// close stops the probe loop and waits for it to exit. A membership
-// whose loop was never launched (a gateway constructed but not
-// Started) has nothing to wait for.
-func (m *membership) close() {
-	m.stopOnce.Do(func() { close(m.stop) })
-	if !m.started.Load() {
-		return
-	}
-	//thermlint:blocking -- done is closed unconditionally when run exits; the wait is bounded by one probe round
-	<-m.done
-}
-
-// ProbeAll probes every backend once, concurrently. Tests (and the
-// suspect path) call it directly to advance membership without waiting
-// out the interval.
-func (m *membership) ProbeAll(ctx context.Context) {
-	m.mu.Lock()
-	backends := make([]Backend, 0, len(m.info))
-	//thermlint:unordered -- collecting map values to probe; probe order carries no meaning
-	for _, mi := range m.info {
-		backends = append(backends, mi.backend)
-	}
-	m.mu.Unlock()
-	var wg sync.WaitGroup
-	for _, b := range backends {
-		wg.Add(1)
-		go func(b Backend) {
-			defer wg.Done()
-			m.probe(ctx, b)
-		}(b)
-	}
-	wg.Wait()
-}
-
-// suspect triggers an immediate asynchronous probe of one backend —
-// the forward path calls it when a request to that backend fails, so
-// ejection does not wait for the next interval tick.
-func (m *membership) suspect(name string) {
-	m.mu.Lock()
-	mi, ok := m.info[name]
-	var b Backend
-	if ok {
-		b = mi.backend
-	}
-	m.mu.Unlock()
-	if !ok {
-		return
-	}
-	//thermlint:goroutine -- one /readyz fetch bounded by the probe client's timeout
-	go m.probe(context.Background(), b)
-}
-
 // readyzDoc is the backend /readyz body the prober decodes.
 type readyzDoc struct {
 	Ready  bool   `json:"ready"`
@@ -241,62 +150,8 @@ type readyzDoc struct {
 	Since  string `json:"since"`
 }
 
-// probe fetches one backend's /readyz and applies the result to the
-// state machine. The FaultProbe point injects slow probes (delay
-// action) and dead backends (error action); FaultSplitBrain discards a
-// successful response, so this gateway's view diverges from reality —
-// exactly the one-sided membership split the chaos suite exercises.
-func (m *membership) probe(ctx context.Context, b Backend) {
-	m.probes()
-	if err := m.faults.Fire(FaultProbe); err != nil {
-		m.applyFailure(b.Name, fmt.Errorf("probe: %w", err))
-		m.onProbe(b.Name, false)
-		return
-	}
-	doc, err := m.fetchReadyz(ctx, b)
-	if err != nil {
-		m.applyFailure(b.Name, err)
-		m.onProbe(b.Name, false)
-		return
-	}
-	if err := m.faults.Fire(FaultSplitBrain); err != nil {
-		m.applyFailure(b.Name, fmt.Errorf("split-brain: %w", err))
-		m.onProbe(b.Name, false)
-		return
-	}
-	m.applyReadyz(b.Name, doc)
-	// Any decodable /readyz — even a draining 503 — means the backend
-	// is alive: a good outcome as far as the circuit breaker cares.
-	m.onProbe(b.Name, true)
-}
-
-// fetchReadyz performs the HTTP probe under the probe timeout. Both a
-// 200 and a 503 carrying a decodable document are successful probes —
-// a browning-out backend is alive and telling us so.
-func (m *membership) fetchReadyz(ctx context.Context, b Backend) (readyzDoc, error) {
-	pctx, cancel := context.WithTimeout(ctx, m.timeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(pctx, http.MethodGet, b.URL+"/readyz", nil)
-	if err != nil {
-		return readyzDoc{}, err
-	}
-	resp, err := m.hc.Do(req)
-	if err != nil {
-		return readyzDoc{}, err
-	}
-	defer resp.Body.Close()
-	var doc readyzDoc
-	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
-		return readyzDoc{}, fmt.Errorf("bad /readyz body: %w", err)
-	}
-	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusServiceUnavailable {
-		return readyzDoc{}, fmt.Errorf("/readyz HTTP %d", resp.StatusCode)
-	}
-	return doc, nil
-}
-
 // applyReadyz folds a successful probe into the state machine.
-func (m *membership) applyReadyz(name string, doc readyzDoc) {
+func (n *node) applyReadyz(now time.Time, doc readyzDoc) {
 	state := NodeHealthy
 	if !doc.Ready {
 		switch doc.Reason {
@@ -312,57 +167,43 @@ func (m *membership) applyReadyz(name string, doc readyzDoc) {
 			state = NodeDown
 		}
 	}
+	n.consecFails = 0
+	n.lastErr = ""
+	n.transition(now, state)
 	since, _ := time.Parse(time.RFC3339Nano, doc.Since)
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	mi, ok := m.info[name]
-	if !ok {
-		return
-	}
-	mi.consecFails = 0
-	mi.lastErr = ""
-	m.transition(mi, state)
-	if !since.IsZero() && mi.state == state {
+	if !since.IsZero() && n.state == state {
 		// Prefer the backend's own account of when the condition began:
 		// it survives gateway restarts and is what distinguishes a
 		// freshly-browning node from a long-unready one. A transition
 		// the damper or the drain pin overrode keeps the gateway's own
 		// timestamp — the backend's story is not the one we believed.
-		mi.since = since
+		n.since = since
 	}
 }
 
 // applyFailure folds a failed probe into the state machine: the node
 // is marked down after threshold consecutive failures.
-func (m *membership) applyFailure(name string, err error) {
-	m.probeFailures()
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	mi, ok := m.info[name]
-	if !ok {
-		return
-	}
-	mi.consecFails++
-	mi.lastErr = err.Error()
-	if mi.consecFails >= m.threshold {
-		m.transition(mi, NodeDown)
+func (n *node) applyFailure(now time.Time, err error, threshold int) {
+	n.consecFails++
+	n.lastErr = err.Error()
+	if n.consecFails >= threshold {
+		n.transition(now, NodeDown)
 	}
 }
 
-// transition moves one node through the state machine under m.mu,
-// applying the two policies that may override the raw observation: the
-// admin drain pin (a pinned node never leaves draining until re-added)
-// and flap damping — flapFlips routability changes inside flapWindow
-// hold the node in NodeSuspect for flapCooldown, so an oscillating
-// backend stops re-entering rotation on every good probe. A node that
-// has served its cooldown re-enters with a clean flip history.
-func (m *membership) transition(mi *memberInfo, to NodeState) {
-	now := m.clk.Now()
-	if mi.pinnedDrain {
+// transition moves the node through the state machine, applying the
+// two policies that may override the raw observation: the admin drain
+// pin (a pinned node never leaves draining until re-added) and flap
+// damping — flapFlips routability changes inside flapWindow hold the
+// node in NodeSuspect for flapCooldown, so an oscillating backend stops
+// re-entering rotation on every good probe. A node that has served its
+// cooldown re-enters with a clean flip history.
+func (n *node) transition(now time.Time, to NodeState) {
+	if n.pinnedDrain {
 		to = NodeDraining
 	}
-	from := mi.state
-	if to.routable() && !from.routable() && now.Before(mi.suspectUntil) {
+	from := n.state
+	if to.routable() && !from.routable() && now.Before(n.suspectUntil) {
 		to = NodeSuspect
 	}
 	if to == from {
@@ -371,103 +212,212 @@ func (m *membership) transition(mi *memberInfo, to NodeState) {
 	// Count routability flips; the initial joining->healthy promotion
 	// is a node taking traffic for the first time, not a flap.
 	if to.routable() != from.routable() && from != NodeJoining {
-		kept := mi.flips[:0]
-		for _, ts := range mi.flips {
+		kept := n.flips[:0]
+		for _, ts := range n.flips {
 			if now.Sub(ts) <= flapWindow {
 				kept = append(kept, ts)
 			}
 		}
-		mi.flips = append(kept, now)
-		if len(mi.flips) >= flapFlips {
-			mi.suspectUntil = now.Add(flapCooldown)
-			mi.flips = nil
+		n.flips = append(kept, now)
+		if len(n.flips) >= flapFlips {
+			n.suspectUntil = now.Add(flapCooldown)
+			n.flips = nil
 			if to.routable() {
 				to = NodeSuspect
 			}
 		}
 	}
 	if to.routable() && from == NodeSuspect {
-		mi.flips = nil
-		mi.suspectUntil = time.Time{}
+		n.flips = nil
+		n.suspectUntil = time.Time{}
 	}
 	if to == from {
 		return
 	}
-	mi.state = to
-	mi.since = now
+	n.state = to
+	n.since = now
 }
 
-// addMember registers a node added at runtime, starting in the given
-// state (the admin API uses NodeJoining so it takes no traffic until
-// probed healthy). Re-adding an existing name resets its record —
-// including a drain pin.
-func (m *membership) addMember(b Backend, state NodeState) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.info[b.Name] = &memberInfo{backend: b, state: state, since: m.clk.Now()}
-}
-
-// removeMember forgets a node; its probes stop at the next round.
-func (m *membership) removeMember(name string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	delete(m.info, name)
-}
-
-// pinDrain forces a node into NodeDraining and keeps it there against
-// anything its probes report; only removal or re-add clears the pin.
-func (m *membership) pinDrain(name string) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	mi, ok := m.info[name]
-	if !ok {
-		return false
+// run is the probe loop: every ProbeInterval it probes each active
+// backend's /readyz. Start launches it and Close stops it. Probes run
+// through the clock seam and the fault-injection registry, so the
+// chaos suite drives slow probes, dead backends, and split-brain views
+// deterministically.
+func (g *Gateway) run() {
+	defer close(g.done)
+	for {
+		select {
+		case <-g.stop:
+			return
+		case <-g.cfg.Clock.After(g.cfg.ProbeInterval):
+			g.ProbeNow()
+		}
 	}
-	mi.pinnedDrain = true
-	m.transition(mi, NodeDraining)
-	return true
 }
 
-// downSince reports when the named node entered NodeDown; the zero
-// time when it is absent or in any other state. The takeover path
-// reads it to decide whether a dead node has been dead long enough.
-func (m *membership) downSince(name string) time.Time {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if mi, ok := m.info[name]; ok && mi.state == NodeDown {
-		return mi.since
+// ProbeNow probes every active backend once, concurrently, and returns
+// when all probes are applied; tests use it to advance membership
+// without waiting out the probe interval.
+func (g *Gateway) ProbeNow() {
+	g.mu.Lock()
+	nodes := make([]*node, 0, len(g.nodes))
+	//thermlint:unordered -- collecting records to probe; probe order carries no meaning
+	for _, n := range g.nodes {
+		if !n.removed {
+			nodes = append(nodes, n)
+		}
 	}
-	return time.Time{}
+	g.mu.Unlock()
+	var wg sync.WaitGroup
+	for _, n := range nodes {
+		wg.Add(1)
+		go func(n *node) {
+			defer wg.Done()
+			g.probe(n)
+		}(n)
+	}
+	wg.Wait()
 }
 
-// state returns one node's current classification.
-func (m *membership) state(name string) NodeState {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if mi, ok := m.info[name]; ok {
-		return mi.state
+// suspect starts an immediate asynchronous probe of one active backend
+// — the forward path calls it when a request to that backend fails, so
+// ejection does not wait for the next interval tick, and the admin add
+// path to promote a joiner. At most one such probe per node is in
+// flight: a storm of failed forwards costs the node one probe, and the
+// failures it reports are consecutive in time, not simultaneous.
+func (g *Gateway) suspect(name string) {
+	g.mu.Lock()
+	n, ok := g.nodes[name]
+	start := ok && !n.removed && !n.probing
+	if start {
+		n.probing = true
+	}
+	g.mu.Unlock()
+	if !start {
+		return
+	}
+	//thermlint:goroutine -- one /readyz fetch bounded by the probe timeout
+	go func() {
+		g.probe(n)
+		g.mu.Lock()
+		n.probing = false
+		g.mu.Unlock()
+	}()
+}
+
+// probe fetches one backend's /readyz and applies the outcome to its
+// record: the membership state machine and the circuit both read it.
+// Any decodable /readyz — even a draining 503 — means the backend is
+// alive, a good outcome as far as the circuit cares; a failed probe is
+// a circuit failure and may make a dead node due for takeover.
+func (g *Gateway) probe(n *node) {
+	g.metrics.probes.Add(1)
+	doc, err := g.readyz(n.backend)
+	if err != nil {
+		g.metrics.probeFailures.Add(1)
+	}
+	g.mu.Lock()
+	due := false
+	if !n.removed {
+		now := g.cfg.Clock.Now()
+		if err == nil {
+			n.applyReadyz(now, doc)
+			n.probeSuccess()
+		} else {
+			n.applyFailure(now, err, g.cfg.FailThreshold)
+			if n.circuitFailure(now, breakerThreshold) {
+				g.metrics.breakerOpens.Add(1)
+			}
+			due = g.takeoverDueLocked(n, now)
+		}
+	}
+	g.mu.Unlock()
+	if due {
+		g.startTakeover(n)
+	}
+}
+
+// readyz probes one backend. The FaultProbe point injects slow probes
+// (delay action) and dead backends (error action); FaultSplitBrain
+// discards a successful response, so this gateway's view diverges from
+// reality — exactly the one-sided membership split the chaos suite
+// exercises.
+func (g *Gateway) readyz(b Backend) (readyzDoc, error) {
+	if err := g.cfg.Faults.Fire(FaultProbe); err != nil {
+		return readyzDoc{}, fmt.Errorf("probe: %w", err)
+	}
+	doc, err := g.fetchReadyz(b)
+	if err != nil {
+		return readyzDoc{}, err
+	}
+	if err := g.cfg.Faults.Fire(FaultSplitBrain); err != nil {
+		return readyzDoc{}, fmt.Errorf("split-brain: %w", err)
+	}
+	return doc, nil
+}
+
+// fetchReadyz performs the HTTP probe under the probe timeout. Both a
+// 200 and a 503 carrying a decodable document are successful probes —
+// a browning-out backend is alive and telling us so.
+func (g *Gateway) fetchReadyz(b Backend) (readyzDoc, error) {
+	ctx, cancel := context.WithTimeout(context.Background(), g.cfg.ProbeTimeout)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, b.URL+"/readyz", nil)
+	if err != nil {
+		return readyzDoc{}, err
+	}
+	resp, err := g.hc.Do(req)
+	if err != nil {
+		return readyzDoc{}, err
+	}
+	defer resp.Body.Close()
+	var doc readyzDoc
+	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
+		return readyzDoc{}, fmt.Errorf("bad /readyz body: %w", err)
+	}
+	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusServiceUnavailable {
+		return readyzDoc{}, fmt.Errorf("/readyz HTTP %d", resp.StatusCode)
+	}
+	return doc, nil
+}
+
+// pinDrain forces an active node into NodeDraining and keeps it there
+// against anything its probes report; only removal and re-add clear
+// the pin. It returns the node's in-flight submits.
+func (g *Gateway) pinDrain(name string) (int64, bool) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	n, ok := g.nodes[name]
+	if !ok || n.removed {
+		return 0, false
+	}
+	n.pinnedDrain = true
+	n.transition(g.cfg.Clock.Now(), NodeDraining)
+	return n.inflight, true
+}
+
+// stateOf returns one node's current classification; a node that is
+// not in the ring counts as down.
+func (g *Gateway) stateOf(name string) NodeState {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if n, ok := g.nodes[name]; ok && !n.removed {
+		return n.state
 	}
 	return NodeDown
 }
 
-// snapshot renders every node's health, sorted by name.
-func (m *membership) snapshot() []NodeHealth {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]NodeHealth, 0, len(m.info))
-	//thermlint:unordered -- collecting map values for an explicit sort below
-	for _, mi := range m.info {
-		h := NodeHealth{
-			Name:                mi.backend.Name,
-			URL:                 mi.backend.URL,
-			State:               mi.state,
-			ConsecutiveFailures: mi.consecFails,
-			LastError:           mi.lastErr,
+// snapshot renders every active node's health and in-flight submits,
+// sorted by name.
+func (g *Gateway) snapshot() []adminNodeDoc {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	out := make([]adminNodeDoc, 0, len(g.nodes))
+	//thermlint:unordered -- collecting records for an explicit sort below
+	for _, n := range g.nodes {
+		if !n.removed {
+			out = append(out, adminNodeDoc{NodeHealth: n.health(), Inflight: n.inflight})
 		}
-		if !mi.since.IsZero() {
-			h.Since = mi.since.Format(time.RFC3339Nano)
-		}
-		out = append(out, h)
 	}
 	sort.Slice(out, func(i, k int) bool { return out[i].Name < out[k].Name })
 	return out

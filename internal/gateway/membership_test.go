@@ -1,10 +1,10 @@
 package gateway
 
 import (
-	"context"
 	"net/http"
 	"net/http/httptest"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -72,6 +72,24 @@ func (f *fakeBackend) submitCount() int {
 	return f.submits
 }
 
+// probeGateway builds a gateway whose prober only runs when the test
+// calls ProbeNow (or Start); unset probe timeouts default to 1s.
+func probeGateway(t *testing.T, cfg Config) *Gateway {
+	t.Helper()
+	if cfg.ProbeInterval == 0 {
+		cfg.ProbeInterval = time.Hour
+	}
+	if cfg.ProbeTimeout == 0 {
+		cfg.ProbeTimeout = time.Second
+	}
+	g, err := New(cfg)
+	if err != nil {
+		t.Fatalf("gateway.New: %v", err)
+	}
+	t.Cleanup(g.Close)
+	return g
+}
+
 // TestMembershipClassification: each structured /readyz reason maps to
 // its membership state, and routability follows.
 func TestMembershipClassification(t *testing.T) {
@@ -92,13 +110,12 @@ func TestMembershipClassification(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			f := newFakeBackend(t)
 			f.set(tc.ready, tc.reason, "")
-			m := newMembership([]Backend{{Name: "n0", URL: f.ts.URL}},
-				clock.Real(), nil, time.Hour, time.Second, 3)
-			m.ProbeAll(context.Background())
-			if got := m.state("n0"); got != tc.want {
+			m := probeGateway(t, Config{Backends: []Backend{{Name: "n0", URL: f.ts.URL}}})
+			m.ProbeNow()
+			if got := m.stateOf("n0"); got != tc.want {
 				t.Fatalf("state after probe = %s, want %s", got, tc.want)
 			}
-			if got := m.state("n0").routable(); got != tc.routable {
+			if got := m.stateOf("n0").routable(); got != tc.routable {
 				t.Fatalf("routable() = %v, want %v", got, tc.routable)
 			}
 		})
@@ -110,32 +127,38 @@ func TestMembershipClassification(t *testing.T) {
 // successful probe restores it.
 func TestMembershipDownAfterThreshold(t *testing.T) {
 	f := newFakeBackend(t)
-	dead := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
-	dead.Close() // refuse all connections from here on
-	m := newMembership([]Backend{{Name: "n0", URL: dead.URL}},
-		clock.Real(), nil, time.Hour, 200*time.Millisecond, 3)
+	// The backend hangs up on every request until it is revived.
+	var dead atomic.Bool
+	dead.Store(true)
+	flaky := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if dead.Load() {
+			panic(http.ErrAbortHandler)
+		}
+		f.ts.Config.Handler.ServeHTTP(w, r)
+	}))
+	t.Cleanup(flaky.Close)
+	m := probeGateway(t, Config{Backends: []Backend{{Name: "n0", URL: flaky.URL}},
+		ProbeTimeout: 200 * time.Millisecond, FailThreshold: 3})
 
 	for i := 1; i <= 2; i++ {
-		m.ProbeAll(context.Background())
-		if got := m.state("n0"); got != NodeHealthy {
+		m.ProbeNow()
+		if got := m.stateOf("n0"); got != NodeHealthy {
 			t.Fatalf("after %d failures state = %s, want still healthy (threshold 3)", i, got)
 		}
 	}
-	m.ProbeAll(context.Background())
-	if got := m.state("n0"); got != NodeDown {
+	m.ProbeNow()
+	if got := m.stateOf("n0"); got != NodeDown {
 		t.Fatalf("after 3 failures state = %s, want down", got)
 	}
-	snap := m.snapshot()
+	snap := m.Backends()
 	if len(snap) != 1 || snap[0].ConsecutiveFailures != 3 || snap[0].LastError == "" {
 		t.Fatalf("snapshot = %+v, want 3 consecutive failures with a last error", snap)
 	}
 
-	// Point the member at a live backend: one good probe revives it.
-	m.mu.Lock()
-	m.info["n0"].backend.URL = f.ts.URL
-	m.mu.Unlock()
-	m.ProbeAll(context.Background())
-	if got := m.state("n0"); got != NodeHealthy {
+	// Revive the backend: one good probe restores it.
+	dead.Store(false)
+	m.ProbeNow()
+	if got := m.stateOf("n0"); got != NodeHealthy {
 		t.Fatalf("after recovery probe state = %s, want healthy", got)
 	}
 }
@@ -147,10 +170,9 @@ func TestMembershipSincePreferred(t *testing.T) {
 	f := newFakeBackend(t)
 	reported := "2026-08-08T01:02:03.000000004Z"
 	f.set(false, "brownout", reported)
-	m := newMembership([]Backend{{Name: "n0", URL: f.ts.URL}},
-		clock.Real(), nil, time.Hour, time.Second, 3)
-	m.ProbeAll(context.Background())
-	snap := m.snapshot()
+	m := probeGateway(t, Config{Backends: []Backend{{Name: "n0", URL: f.ts.URL}}})
+	m.ProbeNow()
+	snap := m.Backends()
 	if len(snap) != 1 || snap[0].State != NodeBrownout {
 		t.Fatalf("snapshot = %+v, want one brownout node", snap)
 	}
@@ -172,11 +194,10 @@ func TestMembershipProbeFault(t *testing.T) {
 	if err := faults.Arm(FaultProbe+"=error:probe chaos", 1); err != nil {
 		t.Fatalf("Arm: %v", err)
 	}
-	m := newMembership([]Backend{{Name: "n0", URL: f.ts.URL}},
-		clock.Real(), faults, time.Hour, time.Second, 2)
-	m.ProbeAll(context.Background())
-	m.ProbeAll(context.Background())
-	if got := m.state("n0"); got != NodeDown {
+	m := probeGateway(t, Config{Backends: []Backend{{Name: "n0", URL: f.ts.URL}}, Faults: faults, FailThreshold: 2})
+	m.ProbeNow()
+	m.ProbeNow()
+	if got := m.stateOf("n0"); got != NodeDown {
 		t.Fatalf("state under probe fault = %s, want down", got)
 	}
 }
@@ -190,17 +211,16 @@ func TestMembershipSplitBrainFault(t *testing.T) {
 	if err := faults.Arm(FaultSplitBrain+"=error:split brain", 1); err != nil {
 		t.Fatalf("Arm: %v", err)
 	}
-	m := newMembership([]Backend{{Name: "n0", URL: f.ts.URL}},
-		clock.Real(), faults, time.Hour, time.Second, 2)
-	m.ProbeAll(context.Background())
-	m.ProbeAll(context.Background())
-	if got := m.state("n0"); got != NodeDown {
+	m := probeGateway(t, Config{Backends: []Backend{{Name: "n0", URL: f.ts.URL}}, Faults: faults, FailThreshold: 2})
+	m.ProbeNow()
+	m.ProbeNow()
+	if got := m.stateOf("n0"); got != NodeDown {
 		t.Fatalf("state under split-brain fault = %s, want down (view diverged)", got)
 	}
 	// The backend itself is fine; disarming heals the divergence.
 	faults.Disarm()
-	m.ProbeAll(context.Background())
-	if got := m.state("n0"); got != NodeHealthy {
+	m.ProbeNow()
+	if got := m.stateOf("n0"); got != NodeHealthy {
 		t.Fatalf("state after disarm = %s, want healthy", got)
 	}
 }
@@ -212,8 +232,7 @@ func TestMembershipSplitBrainFault(t *testing.T) {
 func TestMembershipFlapDamping(t *testing.T) {
 	f := newFakeBackend(t)
 	fc := clock.NewFake(time.Unix(1_700_000_000, 0))
-	m := newMembership([]Backend{{Name: "n0", URL: f.ts.URL}},
-		fc, nil, time.Hour, time.Second, 3)
+	m := probeGateway(t, Config{Backends: []Backend{{Name: "n0", URL: f.ts.URL}}, Clock: fc})
 
 	// flip scripts the backend's /readyz and probes once; an unknown
 	// not-ready reason classifies as down without waiting out the
@@ -224,45 +243,45 @@ func TestMembershipFlapDamping(t *testing.T) {
 			reason = "weird"
 		}
 		f.set(ready, reason, "")
-		m.ProbeAll(context.Background())
+		m.ProbeNow()
 	}
 
 	flip(false) // routable -> down: flip 1
 	flip(true)  // down -> healthy: flip 2
-	if got := m.state("n0"); got != NodeHealthy {
+	if got := m.stateOf("n0"); got != NodeHealthy {
 		t.Fatalf("state after two flips = %s, want still healthy (damping threshold 3)", got)
 	}
 	flip(false) // healthy -> down: flip 3 arms the cooldown
-	if got := m.state("n0"); got != NodeDown {
+	if got := m.stateOf("n0"); got != NodeDown {
 		t.Fatalf("state after third flip = %s, want down", got)
 	}
 
 	// Good probes inside the cooldown park the node in suspect instead
 	// of letting it re-enter rotation.
 	flip(true)
-	if got := m.state("n0"); got != NodeSuspect {
+	if got := m.stateOf("n0"); got != NodeSuspect {
 		t.Fatalf("state on re-entry inside cooldown = %s, want suspect", got)
 	}
-	if m.state("n0").routable() {
+	if m.stateOf("n0").routable() {
 		t.Fatal("suspect node reports routable")
 	}
 	fc.Advance(2 * time.Second) // still inside the 5s cooldown
 	flip(true)
-	if got := m.state("n0"); got != NodeSuspect {
+	if got := m.stateOf("n0"); got != NodeSuspect {
 		t.Fatalf("state mid-cooldown = %s, want still suspect", got)
 	}
 
 	// Cooldown served: the next good probe restores the node...
 	fc.Advance(4 * time.Second)
 	flip(true)
-	if got := m.state("n0"); got != NodeHealthy {
+	if got := m.stateOf("n0"); got != NodeHealthy {
 		t.Fatalf("state after cooldown = %s, want healthy", got)
 	}
 	// ...with a clean history: one fresh bounce is not an instant
 	// re-suspect.
 	flip(false)
 	flip(true)
-	if got := m.state("n0"); got != NodeHealthy {
+	if got := m.stateOf("n0"); got != NodeHealthy {
 		t.Fatalf("state after one post-cooldown bounce = %s, want healthy (history was reset)", got)
 	}
 }
@@ -271,25 +290,27 @@ func TestMembershipFlapDamping(t *testing.T) {
 // results until the node is re-added.
 func TestMembershipDrainPin(t *testing.T) {
 	f := newFakeBackend(t)
-	m := newMembership([]Backend{{Name: "n0", URL: f.ts.URL}},
-		clock.Real(), nil, time.Hour, time.Second, 3)
-	if !m.pinDrain("n0") {
+	m := probeGateway(t, Config{Backends: []Backend{{Name: "n0", URL: f.ts.URL}}})
+	if _, ok := m.pinDrain("n0"); !ok {
 		t.Fatal("pinDrain refused a known node")
 	}
-	if got := m.state("n0"); got != NodeDraining {
+	if got := m.stateOf("n0"); got != NodeDraining {
 		t.Fatalf("state after pin = %s, want draining", got)
 	}
-	m.ProbeAll(context.Background()) // backend still answers healthy
-	if got := m.state("n0"); got != NodeDraining {
+	m.ProbeNow() // backend still answers healthy
+	if got := m.stateOf("n0"); got != NodeDraining {
 		t.Fatalf("healthy probe unpinned the drain: state = %s", got)
 	}
-	if m.pinDrain("ghost") {
+	if _, ok := m.pinDrain("ghost"); ok {
 		t.Fatal("pinDrain accepted an unknown node")
 	}
-	// Re-adding resets the record, clearing the pin.
-	m.addMember(Backend{Name: "n0", URL: f.ts.URL}, NodeJoining)
-	m.ProbeAll(context.Background())
-	if got := m.state("n0"); got != NodeHealthy {
+	// Removing and re-adding resets the record, clearing the pin.
+	m.leave("n0", "")
+	if _, err := m.join(Backend{Name: "n0", URL: f.ts.URL}, NodeJoining); err != nil {
+		t.Fatalf("re-add: %v", err)
+	}
+	m.ProbeNow()
+	if got := m.stateOf("n0"); got != NodeHealthy {
 		t.Fatalf("state after re-add + probe = %s, want healthy", got)
 	}
 }
@@ -300,16 +321,15 @@ func TestMembershipRunLoop(t *testing.T) {
 	f := newFakeBackend(t)
 	f.set(false, "draining", "")
 	fc := clock.NewFake(time.Unix(1_700_000_000, 0))
-	m := newMembership([]Backend{{Name: "n0", URL: f.ts.URL}},
-		fc, nil, time.Second, time.Second, 3)
-	go m.run()
+	m := probeGateway(t, Config{Backends: []Backend{{Name: "n0", URL: f.ts.URL}}, Clock: fc, ProbeInterval: time.Second})
+	m.Start()
 	deadline := time.Now().Add(5 * time.Second)
-	for m.state("n0") != NodeDraining {
+	for m.stateOf("n0") != NodeDraining {
 		fc.Advance(time.Second)
 		if time.Now().After(deadline) {
 			t.Fatal("probe loop never classified the backend as draining")
 		}
 		time.Sleep(time.Millisecond)
 	}
-	m.close()
+	m.Close()
 }

@@ -88,43 +88,55 @@ func retryable(status int) bool {
 // failure (the backend ate the request); any other reply, a 4xx
 // included, proves the backend alive. An attempt whose own context
 // ended — a cancelled race loser, a client hang-up, a scatter deadline
-// — says nothing about the backend and feeds neither. gate may be nil.
-func (g *Gateway) send(ctx context.Context, gate *sendGate, node string, c call) (forwardResult, error) {
-	b, ok := g.lookupBackend(node)
-	if !ok {
-		return forwardResult{}, fmt.Errorf("unknown backend %q", node)
+// — or that its gate stopped says nothing about the backend and feeds
+// neither. The node's in-flight count carries c.submits for the
+// duration. gate may be nil.
+func (g *Gateway) send(ctx context.Context, gate *sendGate, name string, c call) (forwardResult, error) {
+	g.mu.Lock()
+	n, ok := g.nodes[name]
+	if ok {
+		n.inflight += c.submits
 	}
-	cnt := g.inflightOf(node)
-	cnt.Add(c.submits)
-	defer cnt.Add(-c.submits)
+	straggler := name == g.lastNode
+	g.mu.Unlock()
+	if !ok {
+		return forwardResult{}, fmt.Errorf("unknown backend %q", name)
+	}
 	start := g.cfg.Clock.Now()
 	err := g.cfg.Faults.Fire(FaultForward)
-	if err == nil && c.method != http.MethodDelete && node == g.stragglerTarget() {
+	if err == nil && c.method != http.MethodDelete && straggler {
 		// The straggler skips DELETEs, so the loser reaper is never
 		// slowed by the very straggler it is cleaning up after.
 		err = g.cfg.Faults.Fire(FaultStraggler)
 	}
 	var fr forwardResult
-	if err == nil {
-		if gate != nil && !gate.tryBegin() {
-			return forwardResult{}, errAborted
-		}
-		g.metrics.proxied.Add(1)
-		fr, err = g.exchange(ctx, b.URL, c)
-	}
-	if err != nil {
-		g.metrics.backendErrors.Add(1)
-		err = fmt.Errorf("forward to %s: %w", node, err)
-	} else if c.class != "" {
-		g.hedger.observe(c.class, g.cfg.Clock.Since(start))
-	}
 	switch {
-	case ctx.Err() != nil:
-	case err != nil || retryable(fr.status):
-		g.breaker.failure(node)
-		g.members.suspect(node)
-	default:
-		g.breaker.success(node)
+	case err == nil && gate != nil && !gate.tryBegin():
+		err = errAborted
+	case err == nil:
+		g.metrics.proxied.Add(1)
+		if fr, err = g.exchange(ctx, n.backend.URL, c); err == nil && c.class != "" {
+			g.hedger.observe(c.class, g.cfg.Clock.Since(start))
+		}
+	}
+	if err != nil && err != errAborted {
+		g.metrics.backendErrors.Add(1)
+		err = fmt.Errorf("forward to %s: %w", name, err)
+	}
+	judged := ctx.Err() == nil && err != errAborted
+	failed := judged && (err != nil || retryable(fr.status))
+	g.mu.Lock()
+	n.inflight -= c.submits
+	if judged && !n.removed {
+		if !failed {
+			n.circuitSuccess()
+		} else if n.circuitFailure(g.cfg.Clock.Now(), breakerThreshold) {
+			g.metrics.breakerOpens.Add(1)
+		}
+	}
+	g.mu.Unlock()
+	if failed {
+		g.suspect(name)
 	}
 	return fr, err
 }
@@ -166,22 +178,23 @@ func (g *Gateway) exchange(ctx context.Context, base string, c call) (forwardRes
 // breaker refuses is skipped before a token is taken, allow (which
 // consumes the half-open trial slot) runs last, and the token goes back
 // if allow refuses anyway (a forced gw.breaker denial, or a trial slot
-// taken concurrently).
-func (g *Gateway) admit(node string, extra bool) error {
-	if !g.breaker.available(node) {
+// taken concurrently). The FaultBreaker point lets the chaos suite
+// force that denial.
+func (g *Gateway) admit(name string, extra bool) error {
+	if !g.circuit(name, (*node).available) {
 		g.metrics.breakerDenied.Add(1)
-		return fmt.Errorf("backend %s: circuit open", node)
+		return fmt.Errorf("backend %s: circuit open", name)
 	}
 	if extra && !g.budget.take() {
 		g.metrics.budgetExhausted.Add(1)
 		return errors.New("retry budget exhausted")
 	}
-	if !g.breaker.allow(node) {
+	if g.cfg.Faults.Fire(FaultBreaker) != nil || !g.circuit(name, (*node).allow) {
 		if extra {
 			g.budget.refund()
 		}
 		g.metrics.breakerDenied.Add(1)
-		return fmt.Errorf("backend %s: circuit open", node)
+		return fmt.Errorf("backend %s: circuit open", name)
 	}
 	return nil
 }
@@ -681,7 +694,7 @@ func (g *Gateway) handleCancel(w http.ResponseWriter, r *http.Request) {
 func (g *Gateway) handlePassthrough(path string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		for _, node := range g.ringNodes() {
-			if !g.members.state(node).routable() {
+			if !g.stateOf(node).routable() {
 				continue
 			}
 			g.budget.deposit(1)
@@ -951,12 +964,9 @@ func copyValue(v any) any {
 // handleHealthz reports gateway process liveness, in the same shape as
 // a backend's /healthz so existing clients work unchanged.
 func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	g.topo.RLock()
-	n := len(g.byName)
-	g.topo.RUnlock()
 	httpjson.Write(w, http.StatusOK, map[string]any{
 		"status":   "ok",
-		"backends": n,
+		"backends": len(g.ringNodes()),
 	})
 }
 

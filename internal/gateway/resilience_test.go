@@ -13,6 +13,13 @@ import (
 	"thermalherd/internal/httpjson"
 )
 
+// stragglerTarget reports the deterministic FaultStraggler victim.
+func (g *Gateway) stragglerTarget() string {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.lastNode
+}
+
 // TestGatewayHedgedSubmitStraggler is the headline resilience property:
 // with one backend turned into a deterministic straggler, an
 // Idempotency-Key-bearing submit hedges to the ring successor after the

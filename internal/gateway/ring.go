@@ -32,14 +32,13 @@ import (
 // owned (~1/N of the space with enough virtual nodes); re-adding it
 // restores the original placement exactly.
 //
-// Ring is not safe for concurrent use on its own. The gateway builds
-// one at startup from the configured backend set and mutates it only
-// through the admin API's add/remove paths, which hold Gateway.topo
-// exclusively while request paths hold it shared; each mutation bumps
-// the gateway's ring epoch. Membership ejections never touch the ring
-// (they are a routing-time skip set, not ring surgery — see
-// Gateway.route), which is what keeps a node's shard identical when
-// it returns.
+// Ring is not safe for concurrent use on its own. The gateway mutates
+// its ring only in join and leave (boot, admin add and remove,
+// takeover), under the same lock request paths read it under; each
+// mutation bumps the gateway's ring epoch. Membership ejections never
+// touch the ring (they are a routing-time skip set, not ring surgery —
+// see Gateway.planRoute), which is what keeps a node's shard identical
+// when it returns.
 type Ring struct {
 	vnodes int
 	points []ringPoint // sorted ascending by hash

@@ -13,60 +13,49 @@ import (
 // drain issues against backends.
 const takeoverTimeout = 10 * time.Second
 
-// maybeTakeover is called on every failed probe. When takeover is
-// armed (Config.TakeoverAfter > 0) and the node has sat in NodeDown
-// past the deadline, it launches the takeover exactly once: the ring
-// successor adopts the replica journal the dead node streamed to it,
-// an alias reroutes the dead node's job ids, and the corpse leaves the
-// ring. A takeover that fails (successor unreachable, fault injected)
-// clears the single-flight slot so the next probe tick retries.
-func (g *Gateway) maybeTakeover(name string) {
-	if g.cfg.TakeoverAfter <= 0 {
-		return
+// takeoverDueLocked is asked on every failed probe of an active node
+// (callers hold mu). When takeover is armed (Config.TakeoverAfter > 0)
+// and the node has sat in NodeDown past the deadline, it claims the
+// node's single-flight slot and reports the takeover due; startTakeover
+// then runs it: the ring successor adopts the replica journal the dead
+// node streamed to it, the node leaves the ring with the successor as
+// its alias, and its job ids resolve there.
+func (g *Gateway) takeoverDueLocked(n *node, now time.Time) bool {
+	if g.cfg.TakeoverAfter <= 0 || n.state != NodeDown || n.takingOver ||
+		now.Sub(n.since) < g.cfg.TakeoverAfter {
+		return false
 	}
-	since := g.members.downSince(name)
-	if since.IsZero() || g.cfg.Clock.Since(since) < g.cfg.TakeoverAfter {
-		return
-	}
-	if _, active := g.activeBackend(name); !active {
-		return
-	}
-	g.takeoverMu.Lock()
-	if g.takingOver[name] {
-		g.takeoverMu.Unlock()
-		return
-	}
-	g.takingOver[name] = true
-	g.takeoverMu.Unlock()
+	n.takingOver = true
+	return true
+}
+
+// startTakeover runs a claimed takeover on a goroutine Close waits out.
+// A takeover that fails (successor unreachable, fault injected) frees
+// the slot so the next failed probe retries.
+func (g *Gateway) startTakeover(n *node) {
 	g.takeoverWG.Add(1)
 	//thermlint:goroutine -- bounded by takeoverTimeout HTTP deadlines; Close waits via takeoverWG
 	go func() {
 		defer g.takeoverWG.Done()
-		if !g.runTakeover(name) {
-			g.takeoverMu.Lock()
-			delete(g.takingOver, name)
-			g.takeoverMu.Unlock()
+		if !g.runTakeover(n.backend.Name) {
+			g.mu.Lock()
+			n.takingOver = false
+			g.mu.Unlock()
 		}
 	}()
 }
 
 // runTakeover executes one takeover of a dead node. Ordering matters:
-// the successor must finish adopting before the alias is installed, so
-// a status poll rerouted by the alias always finds the adopted job
-// rather than a 404 on a successor that has not replayed yet.
+// the successor must finish adopting before the node leaves with its
+// alias, so a status poll rerouted by the alias always finds the
+// adopted job rather than a 404 on a successor that has not replayed
+// yet. A node alone on the ring has nobody holding a replica to adopt:
+// it stays ejected-but-present so its ids resolve if it returns.
 func (g *Gateway) runTakeover(origin string) bool {
 	if err := g.cfg.Faults.Fire(FaultTakeover); err != nil {
 		return false
 	}
-	g.topo.RLock()
-	succ := g.ring.SuccessorOf(origin)
-	g.topo.RUnlock()
-	if succ == "" {
-		// Alone on the ring: nobody holds a replica to adopt. Leave the
-		// node ejected-but-present so its ids resolve if it returns.
-		return false
-	}
-	sb, ok := g.activeBackend(succ)
+	sb, ok := g.successor(origin)
 	if !ok {
 		return false
 	}
@@ -75,38 +64,9 @@ func (g *Gateway) runTakeover(origin string) bool {
 	if err := g.postAdopt(ctx, sb, origin); err != nil {
 		return false
 	}
-	g.finishTakeover(origin, succ)
+	g.leave(origin, sb.Name)
 	g.metrics.takeovers.Add(1)
 	return true
-}
-
-// finishTakeover atomically installs the alias and ejects the dead
-// node from the topology, so there is no window where its job ids
-// route to the corpse instead of the successor now serving them.
-func (g *Gateway) finishTakeover(origin, succ string) {
-	g.topo.Lock()
-	g.aliases[origin] = succ
-	g.ejectLocked(origin)
-	g.topo.Unlock()
-	g.members.removeMember(origin)
-	g.breaker.remove(origin)
-}
-
-// ejectLocked removes a node from the live topology under topo (the
-// caller holds it exclusively): tombstone the name, drop its ring
-// shard, bump the epoch. Both the admin DELETE path and takeover share
-// it so a node leaves the same way no matter who evicted it.
-func (g *Gateway) ejectLocked(name string) uint64 {
-	b, ok := g.byName[name]
-	if !ok {
-		return g.epoch.Load()
-	}
-	delete(g.byName, name)
-	delete(g.inflight, name)
-	g.removed[name] = b
-	g.ring.Remove(name)
-	g.recomputeLastLocked()
-	return g.epoch.Add(1)
 }
 
 // postAdopt asks the successor to replay origin's replica journal and
@@ -128,19 +88,13 @@ func (g *Gateway) postAdopt(ctx context.Context, succ Backend, origin string) er
 // replica, the jobs move while the node is still alive to ship them.
 // Returns the successor that received them.
 func (g *Gateway) migrateNode(ctx context.Context, origin string) (string, error) {
-	g.topo.RLock()
-	succ := g.ring.SuccessorOf(origin)
-	g.topo.RUnlock()
-	if succ == "" {
-		return "", fmt.Errorf("node %q has no ring successor to migrate to", origin)
+	sb, ok := g.successor(origin)
+	if !ok {
+		return "", fmt.Errorf("node %q has no active ring successor to migrate to", origin)
 	}
 	ob, ok := g.activeBackend(origin)
 	if !ok {
 		return "", fmt.Errorf("no backend named %q", origin)
-	}
-	sb, ok := g.activeBackend(succ)
-	if !ok {
-		return "", fmt.Errorf("successor %q of %q is not an active backend", succ, origin)
 	}
 	payload, err := json.Marshal(map[string]string{"target_name": sb.Name, "target_url": sb.URL})
 	if err != nil {
@@ -155,32 +109,38 @@ func (g *Gateway) migrateNode(ctx context.Context, origin string) (string, error
 		return "", fmt.Errorf("migrate on %s: HTTP %d", origin, fr.status)
 	}
 	g.metrics.migrations.Add(1)
-	return succ, nil
+	return sb.Name, nil
 }
 
 // resolveAlias follows the takeover alias chain from a job id's minted
 // node to whoever serves it now: each hop folds the dead node into the
 // local id ("<id>@<dead>" is the successor's local name for the job)
-// and moves to the successor. Chains are short-circuited at 8 hops —
-// a cycle would take a node re-added under a name it was aliased to,
-// and the cap turns that misconfiguration into a 404 instead of a spin.
-func (g *Gateway) resolveAlias(id, node string) (string, string) {
-	g.topo.RLock()
-	defer g.topo.RUnlock()
+// and moves to the successor. Chains are short-circuited at 8 hops, so
+// a cycle turns into a 404 instead of a spin.
+func (g *Gateway) resolveAlias(id, name string) (string, string) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
 	for i := 0; i < 8; i++ {
-		succ, ok := g.aliases[node]
-		if !ok {
+		n, ok := g.nodes[name]
+		if !ok || n.adoptedBy == "" {
 			break
 		}
-		id = id + "@" + node
-		node = succ
+		id = id + "@" + name
+		name = n.adoptedBy
 	}
-	return id, node
+	return id, name
 }
 
 // aliasCount reports how many takeover aliases are installed.
 func (g *Gateway) aliasCount() int {
-	g.topo.RLock()
-	defer g.topo.RUnlock()
-	return len(g.aliases)
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	count := 0
+	//thermlint:unordered -- counting; order carries no meaning
+	for _, n := range g.nodes {
+		if n.adoptedBy != "" {
+			count++
+		}
+	}
+	return count
 }

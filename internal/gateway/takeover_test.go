@@ -13,7 +13,6 @@ import (
 	"testing"
 	"time"
 
-	"thermalherd/internal/clock"
 	"thermalherd/internal/faultinject"
 	"thermalherd/internal/server"
 	"thermalherd/internal/trace"
@@ -75,44 +74,42 @@ func TestRingSuccessorOf(t *testing.T) {
 // probe success must not release the trial slot; only the trial's own
 // outcome may.
 func TestBreakerProbeSuccessHalfOpenSingleFlight(t *testing.T) {
-	fc := clock.NewFake(time.Unix(1_700_000_000, 0))
-	b := newBreaker(fc, nil, 1, 5*time.Second)
-	b.add("n0")
+	b := newTestCircuit(1, 5*time.Second)
 
-	b.failure("n0")
-	if got := b.stateOf("n0"); got != breakerOpen {
+	b.failure()
+	if got := b.n.circuit; got != breakerOpen {
 		t.Fatalf("state after threshold failure = %s, want open", got)
 	}
-	fc.Advance(5 * time.Second)
-	if !b.allow("n0") {
+	b.fc.Advance(5 * time.Second)
+	if !b.allow() {
 		t.Fatal("half-open trial not granted after the cooldown")
 	}
 
 	// A probe succeeds while the trial is in flight: the circuit must
 	// stay half-open with the slot still taken.
-	b.probeSuccess("n0")
-	if got := b.stateOf("n0"); got != breakerHalfOpen {
+	b.n.probeSuccess()
+	if got := b.n.circuit; got != breakerHalfOpen {
 		t.Fatalf("probe success mid-trial moved state to %s, want half-open", got)
 	}
-	if b.allow("n0") {
+	if b.allow() {
 		t.Fatal("second request admitted during the half-open trial")
 	}
 
 	// The trial's own success closes the circuit.
-	b.success("n0")
-	if got := b.stateOf("n0"); got != breakerClosed {
+	b.n.circuitSuccess()
+	if got := b.n.circuit; got != breakerClosed {
 		t.Fatalf("state after trial success = %s, want closed", got)
 	}
-	if !b.allow("n0") {
+	if !b.allow() {
 		t.Fatal("closed breaker denied traffic")
 	}
 
 	// Outside a trial window, a probe success closes an open circuit
 	// exactly the way a forward success does.
-	b.failure("n0")
-	fc.Advance(5 * time.Second)
-	b.probeSuccess("n0")
-	if got := b.stateOf("n0"); got != breakerClosed {
+	b.failure()
+	b.fc.Advance(5 * time.Second)
+	b.n.probeSuccess()
+	if got := b.n.circuit; got != breakerClosed {
 		t.Fatalf("probe success outside a trial left state %s, want closed", got)
 	}
 }
